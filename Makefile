@@ -15,7 +15,7 @@ test:
 # parser). Equivalence tests prove the fan-out stays deterministic; this
 # proves it stays data-race free.
 race:
-	$(GO) test -race ./internal/bench/... ./internal/node/... \
+	$(GO) test -race ./internal/bench/... ./internal/host/... ./internal/node/... \
 		./internal/core/... ./internal/torture/... ./internal/shard/... \
 		./internal/transport/... ./internal/loadgen/... \
 		./internal/orchestra/... ./internal/telemetry/... \

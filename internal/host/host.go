@@ -44,10 +44,11 @@ type Network interface {
 	Deliver(m protocol.Message, extra sim.Time)
 }
 
-// TimerScheduler is the allocation-free timer path: a Clock that also
-// implements it receives armed timers as typed records instead of closures.
-// SimClock implements it over the engine's typed event scheduler; the wall clock
-// keeps the closure path (live timers are sparse).
+// TimerScheduler is the typed timer path: a Clock that also implements it
+// receives armed timers as (node, protocol.Timer) records instead of
+// closures. SimClock implements it over the engine's typed event scheduler
+// (allocation-free); WallClock implements it to see each timer's kind and
+// generation, which lets it cancel the ones a later arming made useless.
 type TimerScheduler interface {
 	AfterTimer(d sim.Time, node int, tm protocol.Timer)
 }

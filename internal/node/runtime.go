@@ -94,6 +94,7 @@ func NewRuntime(proto *protocol.Node, ep transport.Endpoint, unit time.Duration,
 		return nil, err
 	}
 	r.host = h
+	r.clock.SetTimerSink(h.FireTimer)
 	return r, nil
 }
 

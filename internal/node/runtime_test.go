@@ -14,6 +14,11 @@ import (
 // and returns a cleanup function.
 func cluster(t *testing.T, cfg protocol.Config) ([]*Runtime, *transport.ChannelNetwork) {
 	t.Helper()
+	return clusterWithUnit(t, cfg, 100*time.Microsecond)
+}
+
+func clusterWithUnit(t *testing.T, cfg protocol.Config, unit time.Duration) ([]*Runtime, *transport.ChannelNetwork) {
+	t.Helper()
 	cn, err := transport.NewChannelNetwork(cfg.N)
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +29,7 @@ func cluster(t *testing.T, cfg protocol.Config) ([]*Runtime, *transport.ChannelN
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := NewRuntime(p, cn.Endpoint(i), 100*time.Microsecond)
+		rt, err := NewRuntime(p, cn.Endpoint(i), unit)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"adaptivetoken/internal/protocol"
 )
 
 // TestStopConcurrentWithTimersAndAcquires hammers the shutdown path: all
@@ -83,5 +85,48 @@ func TestStopIsIdempotentUnderConcurrency(t *testing.T) {
 	wg.Wait()
 	if n := rts[1].PendingTimers(); n != 0 {
 		t.Errorf("leaked %d timers", n)
+	}
+}
+
+// TestTimersDoNotAccumulateWithGrants pins the live timer leak: with
+// core.NewLiveNode's configuration every request arms a research timer of
+// 2,000 units and a recovery timer of 10,000, which outlive the grant by
+// seconds. They used to stay armed until they fired, about two per cycle;
+// the clock now cancels them when the next request supersedes them, so the
+// armed set stays a handful however many grants have gone by.
+func TestTimersDoNotAccumulateWithGrants(t *testing.T) {
+	rts, _ := clusterWithUnit(t, protocol.Config{
+		Variant:         protocol.BinarySearch,
+		N:               4,
+		HoldIdle:        5,
+		TrapGC:          protocol.GCRotation,
+		ResearchTimeout: 2000,
+		RecoveryTimeout: 10000,
+	}, time.Millisecond)
+	// Per runtime: the latest hold, research and recovery timers, and the
+	// ones that fired and are waiting for the runtime lock.
+	const bound = 8
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	const cycles = 10000
+	for k := 0; k < cycles; k++ {
+		rt := rts[2*(k%2)] // nodes 0 and 2 in turn: every grant fetches the token
+		if err := rt.Acquire(ctx); err != nil {
+			t.Fatalf("cycle %d: %v", k, err)
+		}
+		rt.Release()
+		if k%1000 == 999 {
+			for i, rt := range rts {
+				if n := rt.PendingTimers(); n > bound {
+					t.Fatalf("after %d cycles node %d has %d timers armed, want <= %d", k+1, i, n, bound)
+				}
+			}
+		}
+	}
+	for i, rt := range rts {
+		rt.Stop()
+		if n := rt.PendingTimers(); n != 0 {
+			t.Errorf("node %d: %d timers armed after Stop", i, n)
+		}
 	}
 }

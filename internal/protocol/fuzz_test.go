@@ -8,7 +8,8 @@ import "testing"
 // Sequence-level fuzzing reaches interleavings single-shot delivery cannot
 // (a push probe answered mid-search, a recovery decide racing a grant). The
 // machine must never panic, never emit off-ring destinations or a forged
-// From, and never arm negative timers.
+// From, never arm negative timers, and never arm a kind at a lower
+// generation than it armed before (the protocol.Timer invariant).
 func fuzzScript(t *testing.T, v Variant, script []byte) {
 	const n = 6
 	cfg := Config{
@@ -25,6 +26,7 @@ func fuzzScript(t *testing.T, v Variant, script []byte) {
 		MsgToken, MsgTokenReturn, MsgSearch, MsgWantQuery, MsgWantReply,
 		MsgRecoveryProbe, MsgRecoveryReply,
 	}
+	armed := map[TimerKind]uint64{} // highest generation armed so far, by kind
 	now := Time(1)
 	if len(script) > 0 && script[0]%2 == 0 {
 		nd.GiveToken(now)
@@ -68,6 +70,10 @@ func fuzzScript(t *testing.T, v Variant, script []byte) {
 			if tm.Delay < 0 {
 				t.Fatalf("variant %s op %d: negative timer %+v", v, i, tm)
 			}
+			if tm.Gen < armed[tm.Kind] {
+				t.Fatalf("variant %s op %d: %s generation fell from %d to %d", v, i, tm.Kind, armed[tm.Kind], tm.Gen)
+			}
+			armed[tm.Kind] = tm.Gen
 		}
 	}
 }

@@ -257,6 +257,15 @@ func (k TimerKind) String() string {
 // Timer is a request to call Node.HandleTimer after Delay. Gen invalidates
 // stale timers: the node ignores firings whose Gen no longer matches its
 // state.
+//
+// Invariant: the generations a node arms for one Kind never decrease. Each
+// Gen is read from a per-kind counter that only grows (holdGen, pushGen,
+// reqSeq — the recovery kinds carry reqSeq too), and HandleTimer compares
+// a firing against that counter's current value. So once a timer of
+// generation G is armed, a firing of the same kind with Gen < G is a no-op,
+// and a host may cancel such a timer instead of delivering it
+// (host.WallClock does). Equal generations are not stale: a re-armed
+// research or recovery timer repeats its generation.
 type Timer struct {
 	Delay Time
 	Kind  TimerKind

@@ -110,6 +110,9 @@ func (e *Exporter) WriteMetrics(p *PromWriter) {
 	p.Counter("adaptivetoken_transport_dropped_write_error_total",
 		"Envelopes discarded when a peer connection broke mid-batch (at-most-once).",
 		float64(ts.DroppedWriteError), sl...)
+	p.Counter("adaptivetoken_transport_dropped_encode_total",
+		"Envelopes the frame encoder refused (payload over the frame bound).",
+		float64(ts.DroppedEncode), sl...)
 	p.Counter("adaptivetoken_transport_reconnects_total",
 		"Peer connections re-established after a write or read failure.",
 		float64(ts.Reconnects), sl...)

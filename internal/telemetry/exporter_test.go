@@ -32,6 +32,7 @@ func TestExporterTransportZeroOverlay(t *testing.T) {
 		"adaptivetoken_transport_batched_writes_total 0",
 		"adaptivetoken_transport_dropped_backpressure_total 0",
 		"adaptivetoken_transport_dropped_write_error_total 0",
+		"adaptivetoken_transport_dropped_encode_total 0",
 		"adaptivetoken_transport_reconnects_total 0",
 		"adaptivetoken_transport_dial_retries_total 0",
 	} {
@@ -55,6 +56,7 @@ func TestExporterTransportValues(t *testing.T) {
 				BatchedWrites:       12,
 				DroppedBackpressure: 7,
 				DroppedWriteError:   3,
+				DroppedEncode:       6,
 				Reconnects:          2,
 				DialRetries:         5,
 				QueueDepth:          4,
@@ -68,6 +70,7 @@ func TestExporterTransportValues(t *testing.T) {
 		`adaptivetoken_transport_batched_writes_total{shard="2"} 12`,
 		`adaptivetoken_transport_dropped_backpressure_total{shard="2"} 7`,
 		`adaptivetoken_transport_dropped_write_error_total{shard="2"} 3`,
+		`adaptivetoken_transport_dropped_encode_total{shard="2"} 6`,
 		`adaptivetoken_transport_reconnects_total{shard="2"} 2`,
 		`adaptivetoken_transport_dial_retries_total{shard="2"} 5`,
 	} {

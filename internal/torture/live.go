@@ -152,6 +152,13 @@ func runLive(sc Scenario, mix Mix, replay *faults.Schedule) Report {
 			if cerr := checkerErr(); cerr != nil {
 				return fmt.Errorf("torture: conformance: %w", cerr)
 			}
+			// The released token travels back to its interceptor. The next
+			// request must not go out before it is parked there, or its
+			// search races the token to the holder and the dispatch
+			// sequence depends on who wins.
+			if perr := waitTokenParked(rts); perr != nil {
+				return perr
+			}
 		}
 		return nil
 	}()
@@ -171,4 +178,22 @@ func runLive(sc Scenario, mix Mix, replay *faults.Schedule) Report {
 		rep.Steps = chk.Steps()
 	}
 	return rep
+}
+
+// waitTokenParked blocks until some runtime holds the token idle.
+func waitTokenParked(rts []*node.Runtime) error {
+	deadline := time.Now().Add(liveAcquireTimeout)
+	for {
+		for _, rt := range rts {
+			parked := false
+			rt.Inspect(func(n *protocol.Node) { parked = n.HasToken() && !n.InCS() })
+			if parked {
+				return nil
+			}
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("torture: live: released token never came to rest within %s", liveAcquireTimeout)
+		}
+		time.Sleep(liveUnit / 4)
+	}
 }

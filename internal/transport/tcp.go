@@ -82,7 +82,9 @@ type Stats struct {
 	// Enqueued counts envelopes accepted into a peer queue (self-sends
 	// excluded).
 	Enqueued int64
-	// Frames counts frames written to sockets.
+	// Frames counts frames written to sockets. A batch is counted just
+	// before its write, so the snapshot is never behind what the peer has
+	// received; a batch whose write fails moves to DroppedWriteError.
 	Frames int64
 	// Flushes counts socket writes (one per batch).
 	Flushes int64
@@ -98,6 +100,9 @@ type Stats struct {
 	// at-most-once — so this is an upper bound on loss, repaired by the
 	// protocol's research/recovery timeouts.
 	DroppedWriteError int64
+	// DroppedEncode counts envelopes the frame encoder refused (payload
+	// over MaxFrame); they never reach the socket.
+	DroppedEncode int64
 	// Reconnects counts connections torn down after a write error.
 	Reconnects int64
 	// DialRetries counts failed dial attempts (the peer was unreachable;
@@ -138,6 +143,7 @@ type TCP struct {
 	batchedWrites atomic.Int64
 	droppedFull   atomic.Int64
 	droppedWrite  atomic.Int64
+	droppedEncode atomic.Int64
 	reconnects    atomic.Int64
 	dialRetries   atomic.Int64
 }
@@ -223,6 +229,7 @@ func (t *TCP) Stats() Stats {
 		BatchedWrites:       t.batchedWrites.Load(),
 		DroppedBackpressure: t.droppedFull.Load(),
 		DroppedWriteError:   t.droppedWrite.Load(),
+		DroppedEncode:       t.droppedEncode.Load(),
 		Reconnects:          t.reconnects.Load(),
 		DialRetries:         t.dialRetries.Load(),
 	}
@@ -340,36 +347,41 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 			}
 		}
 		batch := buf[:0]
-		n := 0
-		if b, err := appendFrame(batch, e); err == nil {
-			batch, n = b, 1
-		}
-	drain:
-		for {
+		n := int64(0)
+		for more := true; more; {
+			if b, err := appendFrame(batch, e); err == nil {
+				batch, n = b, n+1
+			} else {
+				t.droppedEncode.Add(1)
+			}
 			select {
-			case e2 := <-p.q:
-				if b, err := appendFrame(batch, e2); err == nil {
-					batch, n = b, n+1
-				}
+			case e = <-p.q:
 			default:
-				break drain
+				more = false
 			}
 		}
 		buf = batch
 		if n == 0 {
 			continue
 		}
+		// Account before the write makes the bytes visible to the peer, so
+		// Stats is never behind what a receiver has already drained; a
+		// failed write moves the batch to DroppedWriteError.
+		batched := int64(0)
+		if n > 1 {
+			batched = n
+		}
+		t.frames.Add(n)
+		t.flushes.Add(1)
+		t.batchedWrites.Add(batched)
 		if _, err := conn.Write(batch); err != nil {
 			conn.Close()
 			conn = nil
+			t.frames.Add(-n)
+			t.flushes.Add(-1)
+			t.batchedWrites.Add(-batched)
 			t.reconnects.Add(1)
-			t.droppedWrite.Add(int64(n))
-			continue
-		}
-		t.frames.Add(int64(n))
-		t.flushes.Add(1)
-		if n > 1 {
-			t.batchedWrites.Add(int64(n))
+			t.droppedWrite.Add(n)
 		}
 	}
 }

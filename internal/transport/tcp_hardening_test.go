@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -274,5 +275,40 @@ func TestWriteBatching(t *testing.T) {
 	}
 	if st.BatchedWrites == 0 {
 		t.Fatal("batched-writes counter never moved")
+	}
+}
+
+// TestOversizeEnvelopeIsCounted sends a payload the frame encoder refuses:
+// it must be dropped with DroppedEncode, not silently, and the lane must
+// keep carrying the traffic behind it.
+func TestOversizeEnvelopeIsCounted(t *testing.T) {
+	b, err := NewTCP(1, []string{"", "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a, err := NewTCP(0, []string{"127.0.0.1:0", b.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	if err := a.Send(Envelope{To: 1, App: &AppData{Seq: 1, Payload: strings.Repeat("x", MaxFrame+1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Send(Envelope{To: 1, App: &AppData{Seq: 2, Payload: "fits"}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case e := <-b.Recv():
+		if e.App == nil || e.App.Seq != 2 {
+			t.Fatalf("got %+v, want the envelope behind the oversize one", e)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the envelope behind the oversize one never arrived")
+	}
+	st := a.Stats()
+	if st.DroppedEncode != 1 || st.Frames != 1 || st.Enqueued != 2 {
+		t.Fatalf("DroppedEncode %d, Frames %d, Enqueued %d; want 1, 1, 2", st.DroppedEncode, st.Frames, st.Enqueued)
 	}
 }

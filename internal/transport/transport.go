@@ -4,8 +4,9 @@
 //   - ChannelNetwork — in-process delivery over goroutines and channels,
 //     with fault injection (cheap-message loss, delay, partitions) for
 //     tests;
-//   - TCP — JSON-framed delivery over real sockets (stdlib net), one
-//     listener per node with lazily dialed, persistent peer connections.
+//   - TCP — length-prefixed binary frames (frame.go) over real sockets
+//     (stdlib net), one listener per node with lazily dialed, persistent
+//     peer connections.
 //
 // Both implement Endpoint. The protocol's "expensive" messages (token
 // transfers) are never dropped by the fault injector — mirroring the
@@ -23,21 +24,21 @@ import (
 // traffic (used by the total-order broadcast service).
 type AppData struct {
 	// Seq is the global total-order sequence number.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Node is the publisher.
-	Node int `json:"node"`
+	Node int
 	// Kind tags the payload for the application.
-	Kind string `json:"kind,omitempty"`
+	Kind string
 	// Payload is the opaque application data.
-	Payload string `json:"payload"`
+	Payload string
 }
 
 // Envelope is the wire unit: exactly one of Proto or App is set.
 type Envelope struct {
-	From  int               `json:"from"`
-	To    int               `json:"to"`
-	Proto *protocol.Message `json:"proto,omitempty"`
-	App   *AppData          `json:"app,omitempty"`
+	From  int
+	To    int
+	Proto *protocol.Message
+	App   *AppData
 }
 
 // Validate checks the envelope shape.
