@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-mem bench-baseline bench-opt bench-wheel bench-shard bench-par bench-live vet check clean torture torture-shards fuzz smoke-live trace-demo
+.PHONY: build test race bench bench-mem bench-baseline bench-opt bench-wheel bench-shard bench-par bench-live vet check clean torture torture-shards fuzz smoke-live trace-demo profile-sim
 
 build:
 	$(GO) build ./...
@@ -130,6 +130,15 @@ bench-live: build
 # ("Tracing a run").
 trace-demo: build
 	$(GO) run ./cmd/tokensim -trace trace.json -requests 500 -seed 1
+
+# "Which layer dominates": a sequential CPU profile of Figure 10 (n=100,
+# load falling to mean gap 500 — over half its events are bare token hops,
+# the rest search traffic), then its top entries. See EXPERIMENTS.md
+# ("Which layer dominates"); cpu.pprof is git-ignored.
+profile-sim:
+	$(GO) run ./cmd/tokensim -exp fig10 -requests 10000 -parallel 1 \
+		-cpuprofile cpu.pprof > /dev/null
+	$(GO) tool pprof -top -nodecount=25 cpu.pprof
 
 # Short native-fuzzing smoke over the protocol state machines, the CSV
 # round-trip and the Prometheus text encoder; CI runs the same targets.

@@ -230,9 +230,9 @@ func (r *Runner) commitCrash(id int) {
 	// Parked work dies with the node; in-flight accounting for parked
 	// arrivals is settled as if the messages had been swallowed.
 	if q := r.held[id]; len(q) > 0 {
-		for _, it := range q {
-			if it.kind == heldArrive {
-				r.noteSwallowed(it.msg)
+		for i := range q {
+			if q[i].kind == heldArrive {
+				r.countInFlight(&q[i].msg, -1)
 			}
 		}
 		r.heldN -= len(q)
@@ -248,20 +248,6 @@ func (r *Runner) commitCrash(id int) {
 	ch.tracker.Apply(membership.Change{Kind: membership.Leave, Node: id})
 	r.host.EmitFault(FaultEvent{At: r.eng.Now(), Kind: host.FaultCrash, Node: id})
 	r.propagateView(protocol.None, 0, 0)
-}
-
-// noteSwallowed settles the in-flight counters for a message that will
-// never arrive (its destination crashed with it parked).
-func (r *Runner) noteSwallowed(m protocol.Message) {
-	if m.Kind.Expensive() {
-		r.inFlightToken--
-	}
-	ch := r.churn
-	ch.inflight--
-	if m.Kind.Expensive() {
-		ch.epochInFlight[m.Epoch]--
-		ch.tokenTo[m.To]--
-	}
 }
 
 // leaveSafe reports whether id can leave without taking the token (or a

@@ -239,21 +239,28 @@ type simNetwork struct{ r *Runner }
 // Deliver implements host.Network.
 func (n simNetwork) Deliver(m protocol.Message, extra sim.Time) {
 	r := n.r
-	if m.Kind.Expensive() {
-		r.inFlightToken++
-	}
-	if ch := r.churn; ch != nil {
-		ch.inflight++
-		if m.Kind.Expensive() {
-			ch.epochInFlight[m.Epoch]++
-			ch.tokenTo[m.To]++
-		}
-	}
+	r.countInFlight(&m, 1)
 	delay := r.opts.Delay.Delay(r.eng.RNG(), m.From, m.To) + extra
 	if delay < 1 {
 		delay = 1
 	}
 	r.eng.AfterMessage(delay, m)
+}
+
+// countInFlight adds d to the in-flight accounting for one physical copy of
+// m: +1 when it is put on the wire, -1 when it arrives or is swallowed.
+func (r *Runner) countInFlight(m *protocol.Message, d int) {
+	expensive := m.Kind.Expensive()
+	if expensive {
+		r.inFlightToken += d
+	}
+	if ch := r.churn; ch != nil {
+		ch.inflight += d
+		if expensive {
+			ch.epochInFlight[m.Epoch] += d
+			ch.tokenTo[m.To] += d
+		}
+	}
 }
 
 // deliverGate queues the whole arrival — including the in-flight
@@ -264,15 +271,8 @@ func (r *Runner) deliverGate(m protocol.Message) bool {
 		r.park(m.To, heldItem{kind: heldArrive, msg: m})
 		return false
 	}
-	if m.Kind.Expensive() {
-		r.inFlightToken--
-	}
+	r.countInFlight(&m, -1)
 	if ch := r.churn; ch != nil {
-		ch.inflight--
-		if m.Kind.Expensive() {
-			ch.epochInFlight[m.Epoch]--
-			ch.tokenTo[m.To]--
-		}
 		// A departed destination swallows traffic; the sender side stays
 		// open so a token passed by a node mid-leave is not lost.
 		if !ch.member.Get(m.To) {
@@ -408,8 +408,8 @@ func (r *Runner) Pause(at sim.Time, node int, dur sim.Time) error {
 		q := r.held[node]
 		delete(r.held, node)
 		r.heldN -= len(q)
-		for _, it := range q {
-			switch it.kind {
+		for i := range q {
+			switch it := &q[i]; it.kind {
 			case heldArrive:
 				r.host.Arrive(it.msg)
 			case heldTimer:

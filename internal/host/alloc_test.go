@@ -28,8 +28,33 @@ func (n *captureNet) Deliver(m protocol.Message, extra sim.Time) {
 
 // TestArriveFastPathZeroAlloc pins the observer-off contract the telemetry
 // subsystem must not regress: with a nil Observer (no tracer attached),
-// steady-state token circulation through Host.Arrive allocates nothing.
+// steady-state token circulation through Host.Arrive allocates nothing —
+// bare, and with every hook set, which is how the driver runs it. The hooks
+// are func values, so a message handed to one by address would escape to the
+// heap on every arrival; only the hooked case can see that.
 func TestArriveFastPathZeroAlloc(t *testing.T) {
+	calls := 0
+	for _, tc := range []struct {
+		name  string
+		hooks Hooks
+	}{
+		{"bare", Hooks{}},
+		{"every hook", Hooks{
+			Granted:     func(int) { calls++ },
+			TimerGate:   func(int, protocol.Timer) bool { calls++; return true },
+			DeliverGate: func(m protocol.Message) bool { calls++; return m.Kind == protocol.MsgToken },
+			Applied:     func(int) { calls++ },
+			Condemned:   func() bool { calls++; return false },
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { arriveZeroAlloc(t, tc.hooks) })
+	}
+	if calls == 0 {
+		t.Fatal("no hook ran")
+	}
+}
+
+func arriveZeroAlloc(t *testing.T, hooks Hooks) {
 	const n = 4
 	cfg := protocol.Config{Variant: protocol.RingToken, N: n}
 	nodes := make([]*protocol.Node, n)
@@ -46,6 +71,7 @@ func TestArriveFastPathZeroAlloc(t *testing.T) {
 		Clock:   clk,
 		Network: net,
 		Machine: func(id int) *protocol.Node { return nodes[id] },
+		Hooks:   hooks,
 	})
 	if err != nil {
 		t.Fatal(err)

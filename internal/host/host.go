@@ -182,8 +182,8 @@ func (h *Host) Apply(id int, e protocol.Effects) {
 	if e.Granted && h.hooks.Granted != nil {
 		h.hooks.Granted(id)
 	}
-	for _, m := range e.Msgs {
-		h.Dispatch(m)
+	for i := range e.Msgs {
+		h.Dispatch(&e.Msgs[i])
 	}
 	for _, tm := range e.Timers {
 		if h.timerSched != nil {
@@ -202,8 +202,10 @@ func (h *Host) Apply(id int, e protocol.Effects) {
 
 // Dispatch sends one message through the fault injector and on to the
 // network. All loss/duplication/jitter decisions go through the injector,
-// one code path for simulated and live runs alike.
-func (h *Host) Dispatch(m protocol.Message) {
+// one code path for simulated and live runs alike. It reads m where it lies
+// (Apply points it into the step's Effects.Msgs) and keeps no reference:
+// the message is first copied at Network.Deliver, once per physical copy.
+func (h *Host) Dispatch(m *protocol.Message) {
 	if h.hooks.Condemned != nil && h.hooks.Condemned() {
 		return
 	}
@@ -211,19 +213,19 @@ func (h *Host) Dispatch(m protocol.Message) {
 	v := h.faults.OnMessage(m.Kind.Expensive())
 	if v.Drop {
 		h.msgs.IncDropped()
-		h.EmitFault(FaultEvent{At: h.clock.Now(), Kind: FaultDrop, Msg: m})
+		h.EmitFault(FaultEvent{At: h.clock.Now(), Kind: FaultDrop, Msg: *m})
 		return
 	}
 	if v.Dup {
 		h.msgs.IncDuplicated()
-		h.EmitFault(FaultEvent{At: h.clock.Now(), Kind: FaultDup, Msg: m, Delay: v.DupDelay})
-		h.net.Deliver(m, v.DupDelay)
+		h.EmitFault(FaultEvent{At: h.clock.Now(), Kind: FaultDup, Msg: *m, Delay: v.DupDelay})
+		h.net.Deliver(*m, v.DupDelay)
 	}
 	if v.Delay > 0 {
 		h.msgs.IncDelayed()
-		h.EmitFault(FaultEvent{At: h.clock.Now(), Kind: FaultDelay, Msg: m, Delay: v.Delay})
+		h.EmitFault(FaultEvent{At: h.clock.Now(), Kind: FaultDelay, Msg: *m, Delay: v.Delay})
 	}
-	h.net.Deliver(m, v.Delay)
+	h.net.Deliver(*m, v.Delay)
 }
 
 // Arrive processes one physical delivery: it runs the deliver gate, hands
@@ -231,6 +233,12 @@ func (h *Host) Dispatch(m protocol.Message) {
 // no observer attached it runs the zero-allocation fast path: the state
 // machine appends into the host's reset-and-reused scratch buffer and no
 // Step record is built.
+//
+// m stays a by-value parameter all the way into the gate and the state
+// machine. Handing &m to the func-valued DeliverGate (or to any interface
+// method) would make m escape — one heap allocation per event — so the two
+// copies Arrive makes, one for the gate and one for HandleMessageInto, are
+// the price of keeping it on the stack.
 func (h *Host) Arrive(m protocol.Message) {
 	if h.hooks.DeliverGate != nil && !h.hooks.DeliverGate(m) {
 		return

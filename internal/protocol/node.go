@@ -341,7 +341,7 @@ func (n *Node) Release(now Time) Effects {
 		dst := n.returnTo
 		n.returnTo = None
 		n.hasToken = false
-		e.send(Message{Kind: MsgToken, From: n.id, To: dst, Round: n.round, Epoch: n.epoch, Attach: n.attach, Served: n.servedSnapshot()})
+		n.sendToken(&e, MsgToken, dst)
 		return e
 	}
 	n.afterTokenIdle(now, &e)
@@ -359,8 +359,11 @@ func (n *Node) HandleMessage(now Time, m Message) Effects {
 
 // HandleMessageInto is HandleMessage appending into a caller-owned Effects —
 // the allocation-free form hosts drive with a reset-and-reused scratch
-// buffer.
-func (n *Node) HandleMessageInto(now Time, m Message, e *Effects) {
+// buffer. The by-value msg is the last copy the message takes: every handler
+// reads it through a pointer, and none retains that pointer or hands it to
+// anything but another handler, so msg stays on this frame.
+func (n *Node) HandleMessageInto(now Time, msg Message, e *Effects) {
+	m := &msg
 	if !n.validMessage(m) {
 		return
 	}
@@ -390,7 +393,7 @@ func (n *Node) HandleMessageInto(now Time, m Message, e *Effects) {
 
 // validMessage checks that every node reference in a message is on the
 // ring (ReturnTo may also be None).
-func (n *Node) validMessage(m Message) bool {
+func (n *Node) validMessage(m *Message) bool {
 	onRing := func(x int) bool { return x >= 0 && x < n.cfg.N }
 	if !onRing(m.From) || !onRing(m.To) {
 		return false
@@ -449,7 +452,7 @@ func (n *Node) HandleTimerInto(now Time, kind TimerKind, gen uint64, e *Effects)
 
 // handleToken receives the regular circulating token (rule 3), or a
 // decorated token coming home after use.
-func (n *Node) handleToken(now Time, m Message, e *Effects) {
+func (n *Node) handleToken(now Time, m *Message, e *Effects) {
 	if n.staleToken(m) {
 		return // a regenerated token superseded this one
 	}
@@ -529,7 +532,29 @@ func (n *Node) passToken(_ Time, e *Effects) {
 	n.hasToken = false
 	n.holdGen++
 	n.pushGen++
-	e.send(Message{Kind: MsgToken, From: n.id, To: n.nextLive(n.id), Round: n.round, Epoch: n.epoch, Attach: n.attach, Served: n.servedSnapshot()})
+	n.sendToken(e, MsgToken, n.nextLive(n.id))
+}
+
+// send starts a message of the given kind from this node to dst, in place in
+// e.Msgs, and returns it for the caller to fill in the rest.
+func (n *Node) send(e *Effects, kind MsgKind, dst int) *Message {
+	m := e.add()
+	m.Kind = kind
+	m.From = n.id
+	m.To = dst
+	return m
+}
+
+// sendToken builds a token-bearing message from this node to dst in place,
+// stamped with the node's round, epoch, attachment and satisfaction record,
+// and returns it for the caller to decorate.
+func (n *Node) sendToken(e *Effects, kind MsgKind, dst int) *Message {
+	m := n.send(e, kind, dst)
+	m.Round = n.round
+	m.Epoch = n.epoch
+	m.Attach = n.attach
+	m.Served = n.servedSnapshot()
+	return m
 }
 
 // deliverNext pops the oldest live trap and sends the decorated token to
@@ -548,24 +573,16 @@ func (n *Node) deliverNext(_ Time, e *Effects) bool {
 		// removing traps en route (skipped if the trail hop departed).
 		to = int(tr.from)
 	}
-	e.send(Message{
-		Kind:      MsgTokenReturn,
-		From:      n.id,
-		To:        to,
-		Round:     n.round,
-		Epoch:     n.epoch,
-		Attach:    n.attach,
-		Served:    n.servedSnapshot(),
-		ReturnTo:  n.id,
-		Requester: int(tr.requester),
-		ReqSeq:    tr.reqSeq,
-	})
+	m := n.sendToken(e, MsgTokenReturn, to)
+	m.ReturnTo = n.id
+	m.Requester = int(tr.requester)
+	m.ReqSeq = tr.reqSeq
 	return true
 }
 
 // handleTokenReturn receives a decorated token: either the final delivery
 // to the requester (rule 8) or an inverse-GC hop through the search trail.
-func (n *Node) handleTokenReturn(now Time, m Message, e *Effects) {
+func (n *Node) handleTokenReturn(now Time, m *Message, e *Effects) {
 	if n.staleToken(m) {
 		return
 	}
@@ -588,17 +605,17 @@ func (n *Node) handleTokenReturn(now Time, m Message, e *Effects) {
 			// The requester itself departed: the grant is moot. Send the
 			// token home, or adopt it if the interceptor is gone too.
 			if n.member(m.ReturnTo) {
-				e.send(Message{Kind: MsgToken, From: n.id, To: m.ReturnTo, Round: m.Round, Epoch: m.Epoch, Attach: m.Attach, Served: m.Served})
+				n.sendHome(m, e)
 			} else {
 				n.adoptOrphanToken(now, m, e)
 			}
 			return
 		}
-		fwd := m
+		fwd := e.add()
+		*fwd = *m
 		fwd.From = n.id
 		fwd.To = next
 		fwd.Hops = m.Hops + 1
-		e.send(fwd)
 		return
 	}
 	// Delivery for me.
@@ -625,14 +642,24 @@ func (n *Node) handleTokenReturn(now Time, m Message, e *Effects) {
 		n.adoptOrphanToken(now, m, e)
 		return
 	}
-	e.send(Message{Kind: MsgToken, From: n.id, To: m.ReturnTo, Round: m.Round, Epoch: m.Epoch, Attach: m.Attach, Served: m.Served})
+	n.sendHome(m, e)
+}
+
+// sendHome returns the decorated token m, unused, to its interceptor as a
+// plain token bearing m's own stamps.
+func (n *Node) sendHome(m *Message, e *Effects) {
+	t := n.send(e, MsgToken, m.ReturnTo)
+	t.Round = m.Round
+	t.Epoch = m.Epoch
+	t.Attach = m.Attach
+	t.Served = m.Served
 }
 
 // adoptOrphanToken takes custody of a decorated token whose onward
 // addressee departed the view while the message was in flight: a departed
 // member can neither use a grant nor accept a return, so the token rejoins
 // the rotation here instead of being posted into a black hole and lost.
-func (n *Node) adoptOrphanToken(now Time, m Message, e *Effects) {
+func (n *Node) adoptOrphanToken(now Time, m *Message, e *Effects) {
 	n.hasToken = true
 	n.returnTo = None
 	n.round = m.Round

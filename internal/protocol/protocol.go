@@ -292,17 +292,17 @@ func (e *Effects) Reset() {
 	e.Timers = e.Timers[:0]
 }
 
-func (e *Effects) send(m Message) { e.Msgs = append(e.Msgs, m) }
+// add appends a zero message to Msgs and returns its address: the one way a
+// message enters Msgs. The caller writes the fields where the message will
+// lie, so no 136-byte literal travels through an argument and an append. The
+// pointer is good until the next add, which may move the backing array.
+func (e *Effects) add() *Message {
+	e.Msgs = append(e.Msgs, Message{})
+	return &e.Msgs[len(e.Msgs)-1]
+}
 
 func (e *Effects) arm(delay Time, kind TimerKind, gen uint64) {
 	e.Timers = append(e.Timers, Timer{Delay: delay, Kind: kind, Gen: gen})
-}
-
-// merge appends other's effects.
-func (e *Effects) merge(other Effects) {
-	e.Msgs = append(e.Msgs, other.Msgs...)
-	e.Granted = e.Granted || other.Granted
-	e.Timers = append(e.Timers, other.Timers...)
 }
 
 // Config parameterizes a Node.

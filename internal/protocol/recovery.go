@@ -67,7 +67,9 @@ func (n *Node) handleRecoveryTimer(now Time, gen uint64, e *Effects) {
 		if i == n.id || !n.member(i) {
 			continue
 		}
-		e.send(Message{Kind: MsgRecoveryProbe, From: n.id, To: i, Round: n.lastSeen, Epoch: n.epoch})
+		m := n.send(e, MsgRecoveryProbe, i)
+		m.Round = n.lastSeen
+		m.Epoch = n.epoch
 	}
 	window := n.cfg.RecoveryTimeout / 2
 	if window < 2 {
@@ -78,20 +80,16 @@ func (n *Node) handleRecoveryTimer(now Time, gen uint64, e *Effects) {
 }
 
 // handleRecoveryProbe answers with this node's view of the token.
-func (n *Node) handleRecoveryProbe(_ Time, m Message, e *Effects) {
+func (n *Node) handleRecoveryProbe(_ Time, m *Message, e *Effects) {
 	n.adoptEpoch(m.Epoch)
-	e.send(Message{
-		Kind:     MsgRecoveryReply,
-		From:     n.id,
-		To:       m.From,
-		Round:    n.lastSeen,
-		Epoch:    n.epoch,
-		HasToken: n.hasToken,
-	})
+	reply := n.send(e, MsgRecoveryReply, m.From)
+	reply.Round = n.lastSeen
+	reply.Epoch = n.epoch
+	reply.HasToken = n.hasToken
 }
 
 // handleRecoveryReply accumulates probe answers.
-func (n *Node) handleRecoveryReply(_ Time, m Message, _ *Effects) {
+func (n *Node) handleRecoveryReply(_ Time, m *Message, _ *Effects) {
 	n.adoptEpoch(m.Epoch)
 	if !n.recovery.active {
 		return
@@ -138,7 +136,10 @@ func (n *Node) handleRecoveryDecide(now Time, gen uint64, e *Effects) {
 	// mints exactly once per failure (handleElect discards duplicates by
 	// epoch). Re-arm suspicion in case the coordinator itself is gone —
 	// the next probe round runs over the repaired view.
-	e.send(Message{Kind: MsgElect, From: n.id, To: coord, Requester: n.id, Round: st.maxStamp, Epoch: st.maxEpoch})
+	m := n.send(e, MsgElect, coord)
+	m.Requester = n.id
+	m.Round = st.maxStamp
+	m.Epoch = st.maxEpoch
 	n.armRecovery(e)
 }
 
@@ -146,7 +147,7 @@ func (n *Node) handleRecoveryDecide(now Time, gen uint64, e *Effects) {
 // bumps the epoch past the election's evidence, so every duplicate elect
 // from the same failure (or from a decider that raced a live token) is
 // discarded as stale.
-func (n *Node) handleElect(now Time, m Message, e *Effects) {
+func (n *Node) handleElect(now Time, m *Message, e *Effects) {
 	if n.hasToken || m.Epoch < n.epoch {
 		return
 	}
@@ -180,7 +181,7 @@ func (n *Node) adoptEpoch(epoch uint64) {
 
 // staleToken reports (and absorbs) a token message from an obsolete epoch:
 // a regenerated token has superseded it, so it must be discarded on sight.
-func (n *Node) staleToken(m Message) bool {
+func (n *Node) staleToken(m *Message) bool {
 	if m.Epoch < n.epoch {
 		return true
 	}

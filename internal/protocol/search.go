@@ -14,47 +14,34 @@ func (n *Node) issueSearch(_ Time, e *Effects) {
 		// System Search under the Lemma 5 restriction: the gimme
 		// crawls the ring one hop at a time; it expires after a full
 		// circle (of the live view).
-		e.send(Message{
-			Kind:        MsgSearch,
-			From:        n.id,
-			To:          n.nextLive(n.id),
-			Window:      n.liveCount() - 1,
-			OriginStamp: n.lastSeen,
-			Requester:   n.id,
-			ReqSeq:      n.reqSeq,
-		})
+		n.sendSearch(e, MsgSearch, n.nextLive(n.id), n.liveCount()-1)
 	case BinarySearch, Combined:
 		// Rule 5: gimme to the node directly across the (live) ring,
 		// carrying the requester's circulation view.
-		e.send(Message{
-			Kind:        MsgSearch,
-			From:        n.id,
-			To:          n.acrossLive(n.id),
-			Window:      n.halfLive(),
-			OriginStamp: n.lastSeen,
-			Requester:   n.id,
-			ReqSeq:      n.reqSeq,
-		})
+		n.sendSearch(e, MsgSearch, n.acrossLive(n.id), n.halfLive())
 	case DirectedSearch:
 		// Probe the node across the ring; replies steer us.
 		n.probeWindow = n.halfLive()
 		n.probePos = n.acrossLive(n.id)
-		e.send(Message{
-			Kind:        MsgProbe,
-			From:        n.id,
-			To:          n.probePos,
-			OriginStamp: n.lastSeen,
-			Requester:   n.id,
-			ReqSeq:      n.reqSeq,
-		})
+		n.sendSearch(e, MsgProbe, n.probePos, 0)
 	}
 	if n.cfg.ResearchTimeout > 0 && n.cfg.Variant != RingToken {
 		e.arm(n.cfg.ResearchTimeout, TimerResearch, n.reqSeq)
 	}
 }
 
+// sendSearch builds, in place, a gimme or probe for this node's current
+// request, carrying its circulation view.
+func (n *Node) sendSearch(e *Effects, kind MsgKind, to, window int) {
+	m := n.send(e, kind, to)
+	m.Window = window
+	m.OriginStamp = n.lastSeen
+	m.Requester = n.id
+	m.ReqSeq = n.reqSeq
+}
+
 // handleSearch processes a gimme message (rules 6 and 7).
-func (n *Node) handleSearch(now Time, m Message, e *Effects) {
+func (n *Node) handleSearch(now Time, m *Message, e *Effects) {
 	n.sawDemand = true
 	n.addTrap(m.Requester, m.ReqSeq, m.From, m.OriginStamp)
 	if n.hasToken {
@@ -68,8 +55,9 @@ func (n *Node) handleSearch(now Time, m Message, e *Effects) {
 	n.forwardSearch(m, e)
 }
 
-// forwardSearch continues the hunt from a non-holder.
-func (n *Node) forwardSearch(m Message, e *Effects) {
+// forwardSearch continues the hunt from a non-holder: the onward gimme is
+// m copied once into the effects and retargeted there.
+func (n *Node) forwardSearch(m *Message, e *Effects) {
 	switch n.cfg.Variant {
 	case LinearSearch:
 		if m.Window <= 1 {
@@ -79,12 +67,12 @@ func (n *Node) forwardSearch(m Message, e *Effects) {
 		if next == m.Requester {
 			return
 		}
-		fwd := m
+		fwd := e.add()
+		*fwd = *m
 		fwd.From = n.id
 		fwd.To = next
 		fwd.Window = m.Window - 1
 		fwd.Hops = m.Hops + 1
-		e.send(fwd)
 	case BinarySearch, Combined:
 		if m.Window < 2 {
 			return // window exhausted: the trap alone remains
@@ -97,12 +85,12 @@ func (n *Node) forwardSearch(m Message, e *Effects) {
 			// me — chase it the other way (rule 6's x^{-n/2}).
 			dest = n.succLive(n.id, -hop)
 		}
-		fwd := m
+		fwd := e.add()
+		*fwd = *m
 		fwd.From = n.id
 		fwd.To = dest
 		fwd.Window = hop
 		fwd.Hops = m.Hops + 1
-		e.send(fwd)
 	default:
 		// Ring/push have no searches; directed probes never forward.
 	}
@@ -110,30 +98,25 @@ func (n *Node) forwardSearch(m Message, e *Effects) {
 
 // handleProbe answers a directed-search probe. The probed node also sets a
 // trap so the rotating token still catches the request.
-func (n *Node) handleProbe(now Time, m Message, e *Effects) {
+func (n *Node) handleProbe(now Time, m *Message, e *Effects) {
 	n.sawDemand = true
 	n.addTrap(m.Requester, m.ReqSeq, m.From, m.OriginStamp)
+	reply := n.send(e, MsgProbeReply, m.Requester)
+	reply.Requester = m.Requester
+	reply.ReqSeq = m.ReqSeq
 	if n.hasToken {
-		reply := Message{
-			Kind: MsgProbeReply, From: n.id, To: m.Requester,
-			Requester: m.Requester, ReqSeq: m.ReqSeq, HasToken: true,
-		}
-		e.send(reply)
+		reply.HasToken = true
 		if !n.inCS {
 			n.deliverNext(now, e)
 		}
 		return
 	}
-	e.send(Message{
-		Kind: MsgProbeReply, From: n.id, To: m.Requester,
-		Requester: m.Requester, ReqSeq: m.ReqSeq,
-		Round: n.lastSeen,
-	})
+	reply.Round = n.lastSeen
 }
 
 // handleProbeReply steers the requester's next probe (directed search: the
 // §4.4 variant that doubles messages but lets the requester stop early).
-func (n *Node) handleProbeReply(_ Time, m Message, e *Effects) {
+func (n *Node) handleProbeReply(_ Time, m *Message, e *Effects) {
 	if !n.pending || m.ReqSeq != n.reqSeq || m.HasToken {
 		return // served, stale, or the token is on its way
 	}
@@ -147,14 +130,7 @@ func (n *Node) handleProbeReply(_ Time, m Message, e *Effects) {
 	}
 	n.probeWindow = hop
 	n.probePos = dest
-	e.send(Message{
-		Kind:        MsgProbe,
-		From:        n.id,
-		To:          dest,
-		OriginStamp: n.lastSeen,
-		Requester:   n.id,
-		ReqSeq:      n.reqSeq,
-	})
+	n.sendSearch(e, MsgProbe, dest, 0)
 }
 
 // startPushRound has an idle holder probe for demand (the push dual of
@@ -173,7 +149,7 @@ func (n *Node) startPushRound(_ Time, e *Effects) {
 			continue
 		}
 		seen[dst] = true
-		e.send(Message{Kind: MsgWantQuery, From: n.id, To: dst, Requester: n.id})
+		n.send(e, MsgWantQuery, dst).Requester = n.id
 		sent++
 	}
 	wait := n.cfg.PushWait
@@ -184,17 +160,16 @@ func (n *Node) startPushRound(_ Time, e *Effects) {
 }
 
 // handleWantQuery answers a push probe.
-func (n *Node) handleWantQuery(_ Time, m Message, e *Effects) {
-	e.send(Message{
-		Kind: MsgWantReply, From: n.id, To: m.From,
-		Requester: n.id, ReqSeq: n.reqSeq,
-		Want: n.pending,
-	})
+func (n *Node) handleWantQuery(_ Time, m *Message, e *Effects) {
+	reply := n.send(e, MsgWantReply, m.From)
+	reply.Requester = n.id
+	reply.ReqSeq = n.reqSeq
+	reply.Want = n.pending
 }
 
 // handleWantReply traps a willing node and, if the token is still here and
 // idle, delivers at once.
-func (n *Node) handleWantReply(now Time, m Message, e *Effects) {
+func (n *Node) handleWantReply(now Time, m *Message, e *Effects) {
 	if !m.Want {
 		return
 	}

@@ -13,7 +13,12 @@
 // records (message delivery, timer firing, or a closure escape hatch) stored
 // in a slab with a free-list. Scheduling a message or timer copies the
 // payload into a recycled slab slot — no closure, no per-event heap object,
-// no interface boxing. See DESIGN.md §8 ("Allocation discipline").
+// no interface boxing — and that is the only copy the engine makes on the way
+// in: both by-value message doors write the slot through one pointer-taking
+// helper. On the way out an event is dispatched where it lies, its payload
+// passed to the handler straight from the slot, and the slot is recycled
+// after the handler returns, by index. See DESIGN.md §8 ("Allocation
+// discipline": slot hygiene, copy discipline).
 //
 // Ordering is maintained by one of two schedulers (see DESIGN.md §10):
 //
@@ -262,13 +267,7 @@ func (e *Engine) AtMessage(t Time, m protocol.Message) error {
 	if t < e.now {
 		return ErrPastEvent
 	}
-	if e.handler == nil {
-		panic("sim: AtMessage without a Handler (call SetHandler first)")
-	}
-	idx, rec := e.alloc()
-	rec.op = opMessage
-	rec.msg = m
-	e.schedule(t, idx)
+	e.storeMessage(t, &m)
 	return nil
 }
 
@@ -278,7 +277,19 @@ func (e *Engine) AfterMessage(d Time, m protocol.Message) {
 	if d < 0 {
 		d = 0
 	}
-	_ = e.AtMessage(e.now+d, m)
+	e.storeMessage(e.now+d, &m)
+}
+
+// storeMessage copies *m into a slab slot keyed at t >= now: the one copy
+// behind both by-value doors above.
+func (e *Engine) storeMessage(t Time, m *protocol.Message) {
+	if e.handler == nil {
+		panic("sim: AtMessage without a Handler (call SetHandler first)")
+	}
+	idx, rec := e.alloc()
+	rec.op = opMessage
+	rec.msg = *m
+	e.schedule(t, idx)
 }
 
 // AtTimer schedules timer tm to fire at node at absolute time t via the
@@ -307,28 +318,31 @@ func (e *Engine) AfterTimer(d Time, node int, tm protocol.Timer) {
 	_ = e.AtTimer(e.now+d, node, tm)
 }
 
-// dispatch copies the payload out of slab slot idx, recycles the slot, and
-// runs the event. The copy-then-recycle order matters: the callback may
-// schedule (growing the slab would invalidate a pointer), and clearing the
+// dispatch runs the event in slab slot idx where it lies, then recycles the
+// slot. Only the op's own payload leaves the slot, as the argument of the
+// call; the 184-byte record is never copied out. The slot stays off the
+// free-list while the callback runs, so nothing the callback schedules can
+// overwrite it, and it is recycled afterwards by index, not through a
+// pointer taken before the call: the callback may have grown the slab and
+// moved every record, but the index still names the same slot. Clearing the
 // reference-bearing fields keeps recycled slots from retaining messages or
 // closures.
 func (e *Engine) dispatch(idx int32) {
-	rec := e.recs[idx]
+	e.events++
+	switch slot := &e.recs[idx]; slot.op {
+	case opFunc:
+		slot.fn()
+	case opMessage:
+		e.handler.Arrive(slot.msg)
+	case opTimer:
+		e.handler.FireTimer(int(slot.node), slot.tm)
+	}
 	slot := &e.recs[idx]
 	slot.fn = nil
 	slot.msg.Attach = ""
 	slot.msg.Served = nil
 	slot.next = 0
 	e.free = append(e.free, idx)
-	e.events++
-	switch rec.op {
-	case opFunc:
-		rec.fn()
-	case opMessage:
-		e.handler.Arrive(rec.msg)
-	case opTimer:
-		e.handler.FireTimer(int(rec.node), rec.tm)
-	}
 }
 
 // Step executes the earliest pending event, advancing the clock to its time.

@@ -85,6 +85,78 @@ func TestSlabSlotsClearedOnRecycle(t *testing.T) {
 	}
 }
 
+// fanOutHandler schedules burst messages from inside the Arrive of the first
+// one it sees (Hops 0), which grows the slab under the event being
+// dispatched.
+type fanOutHandler struct {
+	e     *Engine
+	burst int
+	got   []protocol.Message
+}
+
+func (h *fanOutHandler) Arrive(m protocol.Message) {
+	h.got = append(h.got, m)
+	if m.Hops != 0 {
+		return
+	}
+	for i := 1; i <= h.burst; i++ {
+		h.e.AfterMessage(1, protocol.Message{
+			Kind:   protocol.MsgToken,
+			Hops:   i,
+			Attach: "child",
+			Served: []protocol.ServedRec{{Requester: i}},
+		})
+	}
+}
+
+func (h *fanOutHandler) FireTimer(int, protocol.Timer) {}
+
+// An event is dispatched in its slab slot and the slot is recycled only
+// after the handler returns, by index. So a handler that grows the slab still
+// gets its message intact, nothing it schedules lands in the slot being
+// dispatched (the clearing afterwards would wipe it), and the slot ends up on
+// the free-list once, cleared.
+func TestDispatchInPlaceAcrossSlabGrowth(t *testing.T) {
+	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
+		t.Run(sched.String(), func(t *testing.T) {
+			e := NewEngineScheduler(1, sched)
+			h := &fanOutHandler{e: e, burst: 100}
+			e.SetHandler(h)
+			_ = e.AtMessage(1, protocol.Message{
+				Kind:   protocol.MsgToken,
+				Attach: "root",
+				Served: []protocol.ServedRec{{Requester: 7, ReqSeq: 9}},
+			})
+			before := &e.recs[0]
+			if !e.Step() {
+				t.Fatal("no event")
+			}
+			if len(e.recs) != 1+h.burst || &e.recs[0] == before {
+				t.Fatalf("slab has %d slots (moved: %v), want %d in a new array: the burst must not reuse the slot in flight",
+					len(e.recs), &e.recs[0] != before, 1+h.burst)
+			}
+			if root := h.got[0]; root.Attach != "root" || len(root.Served) != 1 || root.Served[0].ReqSeq != 9 {
+				t.Fatalf("handler saw %+v", root)
+			}
+			if len(e.free) != 1 || e.free[0] != 0 {
+				t.Fatalf("free list %v, want the dispatched slot alone", e.free)
+			}
+			if slot := e.recs[0]; slot.fn != nil || slot.msg.Attach != "" || slot.msg.Served != nil || slot.next != 0 {
+				t.Fatalf("recycled slot retains payload: %+v", slot)
+			}
+			e.Drain(1 << 20)
+			if len(h.got) != 1+h.burst {
+				t.Fatalf("%d messages arrived, want %d", len(h.got), 1+h.burst)
+			}
+			for i, m := range h.got[1:] {
+				if m.Hops != i+1 || m.Attach != "child" || len(m.Served) != 1 || m.Served[0].Requester != i+1 {
+					t.Fatalf("message %d arrived as %+v", i+1, m)
+				}
+			}
+		})
+	}
+}
+
 // Steady-state scheduling through recycled slots must not allocate: one
 // warmed-up schedule+dispatch cycle is zero allocations per event.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
