@@ -4,9 +4,9 @@
 // load through every node, scrapes all /metrics endpoints, and reports the
 // cluster-wide latency distribution in the same p50/p95/p99 table shape
 // tokensim's responsiveness experiments emit — plus a machine-readable
-// BENCH_live.json record.
+// JSON record (-out).
 //
-//	ringload -n 50 -duration 30s -rate 10 -out BENCH_live.json
+//	ringload -n 50 -duration 30s -rate 10 -out live.json
 //	ringload -n 12 -shards 2 -pattern bursty -crash 7 -crash-after 5s -recovery 4000
 //
 // The ringnode binary is built automatically (go build) unless -node-bin
@@ -38,7 +38,7 @@ func main() {
 	}
 }
 
-// record is the BENCH_live.json schema: configuration, aggregate result,
+// record is the -out JSON schema: configuration, aggregate result,
 // and the percentile summaries of the merged cluster histograms.
 type record struct {
 	Kind      string    `json:"kind"` // "live-load"
@@ -99,7 +99,7 @@ func run(args []string, out *os.File) error {
 		policy   = fs.String("transport-policy", "", "transport backpressure policy: drop or block")
 		queue    = fs.Int("transport-queue", 0, "bounded per-peer outbound queue length")
 		nodeBin  = fs.String("node-bin", "", "ringnode binary (empty = go build it)")
-		outJSON  = fs.String("out", "", "write the BENCH_live.json record here")
+		outJSON  = fs.String("out", "", "write the JSON record here")
 		manifest = fs.String("manifest", "", "write a live-cluster endpoint manifest (JSON) here once all nodes are healthy")
 		quiet    = fs.Bool("q", false, "suppress progress logging")
 	)

@@ -10,20 +10,9 @@
 //	tokensim -exp fig9 -paper         # paper-scale runs (slow)
 //	tokensim -exp fig9 -requests 5000 # custom scale
 //	tokensim -exp fig9 -parallel 4    # worker-pool size (0 = GOMAXPROCS)
-//	tokensim -exp fig9 -paper -baseline -benchjson BENCH_baseline.json
-//	                                  # sequential-vs-parallel perf record
 //	tokensim -exp fig9big -nodes 20000 # fig9 shape swept to big rings (default 1e5)
-//	tokensim -exp fig9 -scheduler heap # reference 4-ary-heap scheduler
-//	tokensim -exp fig9 -paper -baseline -big -benchjson BENCH_wheel.json
-//	                                  # timing-wheel record + N=1e5 scaling pass
 //	tokensim -exp fig9 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	tokensim -shards 8                # sharded scaling pass -> BENCH_shard.json
-//	tokensim -shards 8 -baseline -big -nodes 1000000 -benchjson BENCH_par.json
-//	                                  # sequential-vs-parallel shard record +
-//	                                  # fig9big peak-heap pass to N=1e6
 //	tokensim -trace out.json           # traced fig9-style run -> Perfetto JSON
-//	tokensim -trace out.json -benchjson rec.json
-//	                                  # attach the timeline series to the record
 //	tokensim -torture                 # fault-injection sweep (see -torture-*)
 //	tokensim -torture -artifact-dir artifacts
 //	                                  # persist shrunk failure artifacts
@@ -36,7 +25,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -44,8 +32,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
-	"time"
 
 	"adaptivetoken/internal/bench"
 	"adaptivetoken/internal/sim"
@@ -58,45 +44,6 @@ func main() {
 	}
 }
 
-// phase is the measured half of a benchmark record: one full experiment
-// pass at a fixed parallelism.
-type phase struct {
-	Parallelism  int     `json:"parallelism"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	AllocBytes   uint64  `json:"alloc_bytes"`
-	Mallocs      uint64  `json:"mallocs"`
-	// BytesPerEvent and MallocsPerEvent are the allocation intensity of
-	// the pass: heap traffic divided by discrete events executed. These
-	// are what the allocation-regression gate budgets (see
-	// internal/bench/alloc_budget.json and EXPERIMENTS.md).
-	BytesPerEvent   float64             `json:"bytes_per_event"`
-	MallocsPerEvent float64             `json:"mallocs_per_event"`
-	Stats           bench.StatsSnapshot `json:"stats"`
-}
-
-// record is the machine-readable benchmark artifact (-benchjson). With
-// -baseline it holds both the sequential oracle pass and the parallel pass
-// plus their speedup; otherwise only Parallel is set.
-type record struct {
-	Experiment      string  `json:"experiment"`
-	Seed            uint64  `json:"seed"`
-	Requests        int     `json:"requests"`
-	MaxTime         int64   `json:"max_time"`
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	Scheduler       string  `json:"scheduler"`
-	Sequential      *phase  `json:"sequential,omitempty"`
-	Parallel        phase   `json:"parallel"`
-	Speedup         float64 `json:"speedup,omitempty"`
-	TablesIdentical bool    `json:"tables_identical"`
-	// Fig9Big carries the -big scaling pass: the fig9big experiment run to
-	// Fig9BigNodes ring positions after the headline phases.
-	Fig9Big      *phase `json:"fig9big,omitempty"`
-	Fig9BigNodes int    `json:"fig9big_nodes,omitempty"`
-	// Trace carries the traced run's digest and sim-time series (-trace).
-	Trace *bench.TraceSummary `json:"trace,omitempty"`
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tokensim", flag.ContinueOnError)
 	var (
@@ -107,12 +54,7 @@ func run(args []string, out io.Writer) error {
 		seed       = fs.Uint64("seed", 1, "random seed (0 is a valid seed)")
 		requests   = fs.Int("requests", 0, "requests per run (0 = preset default)")
 		parallel   = fs.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		baseline   = fs.Bool("baseline", false, "run sequentially and in parallel, verify identical tables, record speedup")
-		big        = fs.Bool("big", false, "with -baseline: append a fig9big scaling pass (N to 1e5) to the record")
 		nodes      = fs.Int("nodes", 0, "override the largest ring of the fig9big sweep (0 = 100000)")
-		scheduler  = fs.String("scheduler", "wheel", "event scheduler: wheel (timing wheel) or heap (reference)")
-		shards     = fs.Int("shards", 0, "run the sharded scaling pass up to this many shards (power of two) and write BENCH_shard.json")
-		benchjson  = fs.String("benchjson", "", "write a machine-readable benchmark record (JSON) to this file")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file")
 		trace      = fs.String("trace", "", "run one traced fig9-style run and write Chrome trace_event JSON here")
@@ -161,15 +103,9 @@ func run(args []string, out io.Writer) error {
 	}
 	opts.Parallelism = *parallel
 	opts.Nodes = *nodes
-	sched, err := sim.ParseScheduler(*scheduler)
-	if err != nil {
-		return err
-	}
-	opts.Scheduler = sched
 	if *exp == "fig9big" {
-		// The scaling sweep records its peak live heap (bytes_per_node);
-		// the reading needs runs that don't overlap, so keep it sequential.
-		opts.MemRecord = true
+		// Three 10⁵–10⁶-node rings alive at once would triple the peak
+		// heap; the scaling sweep runs its points one at a time.
 		opts.Parallelism = 1
 	}
 
@@ -201,47 +137,15 @@ func run(args []string, out io.Writer) error {
 	}()
 
 	if *trace != "" {
-		return runTrace(*trace, opts, *benchjson, out)
+		return runTrace(*trace, opts, out)
 	}
 
-	if *shards > 0 {
-		if *baseline {
-			return runShardsBaseline(*shards, opts, *benchjson, *big, out)
-		}
-		return runShards(*shards, opts, *benchjson, out)
-	}
-
-	if *baseline {
-		return runBaseline(*exp, opts, *benchjson, *big, out)
-	}
-
-	text, ph, err := measure(*exp, opts, *csv)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(out, text)
-	if *benchjson != "" {
-		rec := record{
-			Experiment:      *exp,
-			Seed:            opts.Seed,
-			Requests:        opts.Requests,
-			MaxTime:         int64(opts.MaxTime),
-			GOMAXPROCS:      runtime.GOMAXPROCS(0),
-			Scheduler:       opts.Scheduler.String(),
-			Parallel:        ph,
-			TablesIdentical: true, // single pass; nothing to diverge
-		}
-		if err := writeJSON(*benchjson, rec); err != nil {
-			return err
-		}
-	}
-	return nil
+	return render(*exp, opts, *csv, out)
 }
 
 // runTrace executes one traced run (internal/bench.TraceRun), writes the
-// Chrome/Perfetto timeline to path, and — with -benchjson — attaches the
-// run digest and sampled sim-time series to the benchmark record.
-func runTrace(path string, opts bench.Options, jsonPath string, out io.Writer) error {
+// Chrome/Perfetto timeline to path and prints the run's digest.
+func runTrace(path string, opts bench.Options, out io.Writer) error {
 	topts := bench.TraceOptions{
 		Seed:     opts.Seed,
 		Requests: opts.Requests,
@@ -268,117 +172,24 @@ func runTrace(path string, opts bench.Options, jsonPath string, out io.Writer) e
 		res.Responsiveness.Mean, res.Responsiveness.P99)
 	fmt.Fprintf(out, "trace: %d records (%d dropped), %d series points -> %s (load in https://ui.perfetto.dev)\n",
 		sum.Records, sum.DroppedRecords, len(sum.Series), path)
-	if jsonPath != "" {
-		rec := record{
-			Experiment: "trace",
-			Seed:       opts.Seed,
-			Requests:   opts.Requests,
-			MaxTime:    int64(opts.MaxTime),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Trace:      &sum,
-		}
-		if err := writeJSON(jsonPath, rec); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// runBaseline runs the experiment twice — sequentially (the oracle) and at
-// the configured parallelism — asserts byte-identical tables, and writes
-// the combined perf record. This is how BENCH_baseline.json is generated
-// and regenerated; see EXPERIMENTS.md.
-func runBaseline(exp string, opts bench.Options, jsonPath string, big bool, out io.Writer) error {
-	seqOpts := opts
-	seqOpts.Parallelism = 1
-	seqText, seqPhase, err := measure(exp, seqOpts, false)
-	if err != nil {
-		return err
-	}
-	parText, parPhase, err := measure(exp, opts, false)
-	if err != nil {
-		return err
-	}
-	identical := seqText == parText
-	rec := record{
-		Experiment:      exp,
-		Seed:            opts.Seed,
-		Requests:        opts.Requests,
-		MaxTime:         int64(opts.MaxTime),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Scheduler:       opts.Scheduler.String(),
-		Sequential:      &seqPhase,
-		Parallel:        parPhase,
-		TablesIdentical: identical,
-	}
-	if parPhase.WallSeconds > 0 {
-		rec.Speedup = seqPhase.WallSeconds / parPhase.WallSeconds
-	}
-	if big {
-		_, bigPhase, err := measure("fig9big", opts, false)
-		if err != nil {
-			return fmt.Errorf("fig9big: %w", err)
-		}
-		rec.Fig9Big = &bigPhase
-		rec.Fig9BigNodes = opts.Nodes
-		if rec.Fig9BigNodes == 0 {
-			rec.Fig9BigNodes = 100_000
-		}
-		fmt.Fprintf(out, "fig9big: n to %d, %d runs, %d events in %.2fs (%.0f events/sec)\n",
-			rec.Fig9BigNodes, bigPhase.Stats.Runs, bigPhase.Stats.SimEvents,
-			bigPhase.WallSeconds, bigPhase.EventsPerSec)
-	}
-	if jsonPath == "" {
-		jsonPath = "BENCH_baseline.json"
-	}
-	if err := writeJSON(jsonPath, rec); err != nil {
-		return err
-	}
-	fmt.Fprint(out, parText)
-	fmt.Fprintf(out, "baseline: scheduler %s, sequential %.2fs, parallel(%d) %.2fs, speedup %.2fx, %s -> %s\n",
-		opts.Scheduler, seqPhase.WallSeconds, parPhase.Parallelism, parPhase.WallSeconds, rec.Speedup,
-		identicalWord(identical), jsonPath)
-	if !identical {
-		return fmt.Errorf("parallel tables diverge from the sequential oracle")
-	}
-	return nil
-}
-
-func identicalWord(ok bool) string {
-	if ok {
-		return "tables identical"
-	}
-	return "TABLES DIVERGE"
-}
-
-// measure renders the experiment (or all of them) once, timing the pass and
-// accounting simulation totals and allocations.
-func measure(exp string, opts bench.Options, csv bool) (string, phase, error) {
-	var stats bench.RunStats
-	opts.Stats = &stats
-	resolved := opts.Parallelism
-	if resolved <= 0 {
-		resolved = runtime.GOMAXPROCS(0)
-	}
-
-	var sb strings.Builder
-	render := func(t bench.Table) {
+// render runs the experiment (or all of them, sorted by id) and writes
+// the tables to out as text or CSV.
+func render(exp string, opts bench.Options, csv bool, out io.Writer) error {
+	write := func(t bench.Table) {
 		if csv {
-			sb.WriteString(t.CSV())
+			fmt.Fprint(out, t.CSV())
 		} else {
-			sb.WriteString(t.Format())
-			sb.WriteByte('\n')
+			fmt.Fprintln(out, t.Format())
 		}
 	}
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
 
 	if exp == "all" {
 		tables, err := bench.All(opts)
 		if err != nil {
-			return "", phase{}, err
+			return err
 		}
 		ids := make([]string, 0, len(tables))
 		for id := range tables {
@@ -386,45 +197,18 @@ func measure(exp string, opts bench.Options, csv bool) (string, phase, error) {
 		}
 		sort.Strings(ids)
 		for _, id := range ids {
-			render(tables[id])
+			write(tables[id])
 		}
-	} else {
-		fn, ok := bench.Lookup(exp)
-		if !ok {
-			return "", phase{}, fmt.Errorf("unknown experiment %q (use -list)", exp)
-		}
-		tbl, err := fn(opts)
-		if err != nil {
-			return "", phase{}, err
-		}
-		render(tbl)
+		return nil
 	}
-
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	snap := stats.Snapshot()
-	ph := phase{
-		Parallelism: resolved,
-		WallSeconds: wall.Seconds(),
-		AllocBytes:  after.TotalAlloc - before.TotalAlloc,
-		Mallocs:     after.Mallocs - before.Mallocs,
-		Stats:       snap,
+	fn, ok := bench.Lookup(exp)
+	if !ok {
+		return fmt.Errorf("unknown experiment %q (use -list)", exp)
 	}
-	if wall > 0 {
-		ph.EventsPerSec = float64(snap.SimEvents) / wall.Seconds()
-	}
-	if snap.SimEvents > 0 {
-		ph.BytesPerEvent = float64(ph.AllocBytes) / float64(snap.SimEvents)
-		ph.MallocsPerEvent = float64(ph.Mallocs) / float64(snap.SimEvents)
-	}
-	return sb.String(), ph, nil
-}
-
-// writeJSON writes v as indented JSON to path.
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	tbl, err := fn(opts)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	write(tbl)
+	return nil
 }

@@ -116,8 +116,8 @@ func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
 func round4(v float64) float64 { return float64(int64(v*10000+0.5)) / 10000 }
 
 // BenchmarkFig9Slice runs the gate's fig9 slice per iteration, reporting
-// events/op so bytes/event = B/op ÷ events/op (what `make bench-mem` and
-// scripts/benchcmp compute).
+// events/op so bytes/event = B/op ÷ events/op (what `make bench-mem`
+// prints).
 func BenchmarkFig9Slice(b *testing.B) {
 	b.ReportAllocs()
 	var totalEvents int64

@@ -24,7 +24,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,23 +50,12 @@ type Options struct {
 	// Parallelism is the worker-pool size experiments fan their runs
 	// across: 0 means runtime.GOMAXPROCS(0), 1 runs sequentially.
 	Parallelism int
-	// Scheduler selects the simulation engine's event scheduler for every
-	// run (zero value: sim.SchedulerWheel). The heap/wheel equivalence
-	// tests run experiments under both and diff the tables.
-	Scheduler sim.Scheduler
 	// Nodes, when > 0, overrides the largest ring size of the fig9big
 	// scaling sweep (the -nodes CLI flag); other experiments ignore it.
 	Nodes int
 	// Stats, when non-nil, accumulates totals (runs, simulated events,
-	// messages, grants) across every run for benchmark records.
+	// messages, grants) across every run.
 	Stats *RunStats
-	// MemRecord, with Stats set, records the peak live heap: after each
-	// run's workload completes (simulation state still live) the harness
-	// forces a GC, reads HeapAlloc, and folds the maximum into the stats —
-	// the bytes_per_node record of the fig9big scaling sweep. Meaningful
-	// only on sequential passes (Parallelism 1): concurrent runs would
-	// inflate each other's readings.
-	MemRecord bool
 }
 
 // DefaultOptions returns CI-sized defaults.
@@ -192,7 +180,6 @@ func ParseCSV(s string) (Table, error) {
 func runJob(j Job, opts Options) (driver.Result, error) {
 	r, err := driver.New(j.Cfg, driver.Options{
 		Seed:          opts.Seed,
-		Scheduler:     opts.Scheduler,
 		Delay:         j.Delay,
 		CSTime:        j.CSTime,
 		TrackFairness: j.TrackFairness,
@@ -207,15 +194,6 @@ func runJob(j Job, opts Options) (driver.Result, error) {
 	end, err := r.RunWorkload(j.Gen, requests, opts.MaxTime)
 	if err != nil {
 		return driver.Result{}, fmt.Errorf("%s n=%d: %w", j.Cfg.Variant, j.Cfg.N, err)
-	}
-	if opts.MemRecord && opts.Stats != nil {
-		// The runner, its nodes and the engine state are all still live
-		// here; a forced GC leaves exactly the run's working set on the
-		// heap (plus the process baseline, which the big points dwarf).
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		opts.Stats.notePeak(ms.HeapAlloc, j.Cfg.N)
 	}
 	res := r.Summarize(end)
 	opts.Stats.record(res)
@@ -329,7 +307,7 @@ func fig9bigRequests(requests, n int) int {
 // only became tractable with the timing-wheel scheduler and the O(1)
 // invariant check (ROADMAP open item 2). Excluded from All(): its largest
 // point is deliberately heavyweight — run it explicitly (`tokensim -exp
-// fig9big`, `make bench-wheel`). Options.Nodes overrides the largest ring.
+// fig9big`). Options.Nodes overrides the largest ring.
 func Figure9Big(opts Options) (Table, error) {
 	opts = opts.withDefaults()
 	ns := []int{1_000, 10_000, 100_000}
@@ -851,79 +829,63 @@ func MessageCost(opts Options) (Table, error) {
 	return t, nil
 }
 
-// All runs every experiment, keyed by its id from DESIGN.md.
+// experiments is the one registry All, Lookup and IDs walk, in the order
+// IDs lists. fig9big is listed (and reachable via Lookup) but deliberately
+// not part of All(): its N=10⁵ point is a heavyweight scaling run, invoked
+// explicitly.
+var experiments = []struct {
+	id    string
+	fn    func(Options) (Table, error)
+	inAll bool
+}{
+	{"fig9", Figure9, true},
+	{"fig9big", Figure9Big, false},
+	{"fig9shard", Figure9Shard, true},
+	{"fig10", Figure10, true},
+	{"directed", AblationDirected, true},
+	{"trapgc", AblationTrapGC, true},
+	{"speed", AblationSpeed, true},
+	{"push", AblationPush, true},
+	{"throttle", AblationThrottle, true},
+	{"fairness", FairnessExperiment, true},
+	{"saturation", Saturation, true},
+	{"jitter", DelaySensitivity, true},
+	{"tails", TailLatency, true},
+	{"resptails", ResponsivenessTails, true},
+	{"msgcost", MessageCost, true},
+}
+
+// All runs every experiment but fig9big, keyed by its id from DESIGN.md.
 func All(opts Options) (map[string]Table, error) {
-	runs := []struct {
-		id string
-		fn func(Options) (Table, error)
-	}{
-		{"fig9", Figure9},
-		{"fig10", Figure10},
-		{"directed", AblationDirected},
-		{"trapgc", AblationTrapGC},
-		{"speed", AblationSpeed},
-		{"push", AblationPush},
-		{"throttle", AblationThrottle},
-		{"fairness", FairnessExperiment},
-		{"saturation", Saturation},
-		{"jitter", DelaySensitivity},
-		{"tails", TailLatency},
-		{"resptails", ResponsivenessTails},
-		{"msgcost", MessageCost},
-		{"fig9shard", Figure9Shard},
-	}
-	out := make(map[string]Table, len(runs))
-	for _, r := range runs {
-		tbl, err := r.fn(opts)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", r.id, err)
+	out := make(map[string]Table, len(experiments))
+	for _, e := range experiments {
+		if !e.inAll {
+			continue
 		}
-		out[r.id] = tbl
+		tbl, err := e.fn(opts)
+		if err != nil {
+			return out, fmt.Errorf("%s: %w", e.id, err)
+		}
+		out[e.id] = tbl
 	}
 	return out, nil
 }
 
 // Lookup returns the experiment function for an id, if known.
 func Lookup(id string) (func(Options) (Table, error), bool) {
-	switch id {
-	case "fig9":
-		return Figure9, true
-	case "fig10":
-		return Figure10, true
-	case "fig9big":
-		return Figure9Big, true
-	case "directed":
-		return AblationDirected, true
-	case "trapgc":
-		return AblationTrapGC, true
-	case "speed":
-		return AblationSpeed, true
-	case "push":
-		return AblationPush, true
-	case "throttle":
-		return AblationThrottle, true
-	case "fairness":
-		return FairnessExperiment, true
-	case "saturation":
-		return Saturation, true
-	case "jitter":
-		return DelaySensitivity, true
-	case "tails":
-		return TailLatency, true
-	case "resptails":
-		return ResponsivenessTails, true
-	case "msgcost":
-		return MessageCost, true
-	case "fig9shard":
-		return Figure9Shard, true
-	default:
-		return nil, false
+	for _, e := range experiments {
+		if e.id == id {
+			return e.fn, true
+		}
 	}
+	return nil, false
 }
 
-// IDs lists the experiment identifiers. fig9big is listed (and reachable
-// via Lookup) but deliberately not part of All(): its N=10⁵ point is a
-// heavyweight scaling run, invoked explicitly.
+// IDs lists the experiment identifiers.
 func IDs() []string {
-	return []string{"fig9", "fig9big", "fig9shard", "fig10", "directed", "trapgc", "speed", "push", "throttle", "fairness", "saturation", "jitter", "tails", "resptails", "msgcost"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }

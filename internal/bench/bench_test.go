@@ -239,6 +239,33 @@ func TestLookupAndIDs(t *testing.T) {
 	}
 }
 
+// TestAllCoversRegistry: All, Lookup and IDs walk one table, so All runs
+// exactly the listed ids minus fig9big (listed and resolvable, but too heavy
+// for a sweep).
+func TestAllCoversRegistry(t *testing.T) {
+	tables, err := All(Options{Seed: 1, Requests: 64, MaxTime: 640_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := false
+	for _, id := range IDs() {
+		if id == "fig9big" {
+			listed = true
+			continue
+		}
+		if _, ok := tables[id]; !ok {
+			t.Errorf("All() is missing listed experiment %q", id)
+		}
+		delete(tables, id)
+	}
+	if !listed {
+		t.Error("fig9big not listed by IDs()")
+	}
+	for id := range tables {
+		t.Errorf("All() ran %q, which IDs() does not list (or which must stay out of All)", id)
+	}
+}
+
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Seed == 0 || o.Requests == 0 || o.MaxTime == 0 {

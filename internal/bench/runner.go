@@ -118,23 +118,14 @@ func mapOrdered[T any](p, n int, fn func(int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// RunStats accumulates totals across runs for machine-readable benchmark
-// records (BENCH_*.json). Safe for concurrent use; attach one via
-// Options.Stats.
+// RunStats accumulates totals across runs (the repo benchmark and the
+// throughput/allocation gates read them). Safe for concurrent use; attach
+// one via Options.Stats.
 type RunStats struct {
 	Runs      atomic.Int64
 	SimEvents atomic.Int64
 	Messages  atomic.Int64
 	Grants    atomic.Int64
-
-	// Peak live-heap record of the memory-observed runs (Options.MemRecord):
-	// heapPeak is the largest post-GC HeapAlloc seen right after any run
-	// finished its workload (simulation state still live), heapPeakN the
-	// ring size of the run that set it. Guarded by mu — peak updates are two
-	// coupled fields and far off the hot path.
-	mu        sync.Mutex
-	heapPeak  uint64
-	heapPeakN int
 }
 
 // record folds one run's totals into the stats; nil-safe.
@@ -148,35 +139,12 @@ func (s *RunStats) record(res driver.Result) {
 	s.Grants.Add(int64(res.Grants))
 }
 
-// notePeak folds one memory-observed run's post-workload live heap into the
-// peak record; nil-safe.
-func (s *RunStats) notePeak(heap uint64, n int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if heap > s.heapPeak {
-		s.heapPeak = heap
-		s.heapPeakN = n
-	}
-	s.mu.Unlock()
-}
-
-// StatsSnapshot is a plain-value copy of RunStats, fit for JSON encoding.
-// HeapPeak and BytesPerNode are present only when the pass ran with
-// Options.MemRecord (the fig9big scaling sweep).
+// StatsSnapshot is a plain-value copy of RunStats.
 type StatsSnapshot struct {
-	Runs      int64 `json:"runs"`
-	SimEvents int64 `json:"sim_events"`
-	Messages  int64 `json:"messages"`
-	Grants    int64 `json:"grants"`
-	// HeapPeak is the largest post-GC live heap observed immediately after
-	// any memory-observed run completed its workload, in bytes; HeapPeakN
-	// the ring size of that run, and BytesPerNode their ratio — the
-	// per-node footprint headline of the scaling sweep.
-	HeapPeak     uint64  `json:"heap_peak,omitempty"`
-	HeapPeakN    int     `json:"heap_peak_n,omitempty"`
-	BytesPerNode float64 `json:"bytes_per_node,omitempty"`
+	Runs      int64
+	SimEvents int64
+	Messages  int64
+	Grants    int64
 }
 
 // Snapshot reads the counters; nil-safe.
@@ -184,18 +152,10 @@ func (s *RunStats) Snapshot() StatsSnapshot {
 	if s == nil {
 		return StatsSnapshot{}
 	}
-	snap := StatsSnapshot{
+	return StatsSnapshot{
 		Runs:      s.Runs.Load(),
 		SimEvents: s.SimEvents.Load(),
 		Messages:  s.Messages.Load(),
 		Grants:    s.Grants.Load(),
 	}
-	s.mu.Lock()
-	snap.HeapPeak, snap.HeapPeakN = s.heapPeak, s.heapPeakN
-	s.mu.Unlock()
-	if snap.HeapPeakN > 0 {
-		bpn := float64(snap.HeapPeak) / float64(snap.HeapPeakN)
-		snap.BytesPerNode = float64(int64(bpn*100+0.5)) / 100
-	}
-	return snap
 }

@@ -187,7 +187,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunStats checks the benchmark accounting fed into BENCH_*.json.
+// TestRunStats checks the run-total accounting behind Options.Stats.
 func TestRunStats(t *testing.T) {
 	var stats RunStats
 	opts := Options{Seed: 1, Requests: 200, MaxTime: 2_000_000, Parallelism: 4, Stats: &stats}

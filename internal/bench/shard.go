@@ -23,14 +23,6 @@ const (
 
 var shardCounts = []int{1, 2, 4, 8}
 
-// ShardDefaults returns the sharded sweep's fixed aggregate load shape:
-// total membership and the aggregate Poisson mean gap. The tokensim
-// -shards pass uses the same shape so BENCH_shard.json is comparable with
-// the fig9shard table.
-func ShardDefaults() (totalNodes int, meanGap float64) {
-	return shardTotalNodes, shardMeanGap
-}
-
 // ShardResult aggregates one sharded run.
 type ShardResult struct {
 	Shards int
@@ -60,12 +52,11 @@ func RunSharded(opts Options, shards, totalNodes int, meanGap float64) (ShardRes
 	}
 	nodes := totalNodes / shards
 	c, err := shard.NewCluster(shard.Config{
-		Shards:    shards,
-		Nodes:     nodes,
-		Protocol:  figureConfig(protocol.BinarySearch, nodes),
-		Seed:      opts.Seed,
-		Scheduler: opts.Scheduler,
-		Parallel:  opts.runner().workers(shards),
+		Shards:   shards,
+		Nodes:    nodes,
+		Protocol: figureConfig(protocol.BinarySearch, nodes),
+		Seed:     opts.Seed,
+		Parallel: opts.runner().workers(shards),
 	})
 	if err != nil {
 		return ShardResult{}, err
@@ -130,9 +121,8 @@ func Figure9Shard(opts Options) (Table, error) {
 
 // ShardParity reports whether a 1-shard sharded run reproduces the plain
 // unsharded driver run byte for byte — same grants, end time, event count,
-// per-kind message counts and responsiveness summary. It is the
-// tables_identical gate of BENCH_shard.json: the sharded layer must be a
-// strict generalization of the single-ring harness.
+// per-kind message counts and responsiveness summary: the sharded layer
+// must be a strict generalization of the single-ring harness.
 func ShardParity(opts Options, totalNodes int, meanGap float64) (bool, error) {
 	opts = opts.withDefaults()
 	opts.Stats = nil // comparison runs must not double-count benchmark totals

@@ -99,9 +99,8 @@ func TraceRun(opts TraceOptions) (driver.Result, *telemetry.Tracer, error) {
 	return r.Summarize(end), tr, nil
 }
 
-// TraceSummary is the digest of a traced run attached to the bench JSON
-// record: the tracer's counters, the run's responsiveness summary, and the
-// sampled sim-time series.
+// TraceSummary is the digest of a traced run: the tracer's counters, the
+// run's responsiveness summary, and the sampled sim-time series.
 type TraceSummary struct {
 	Variant        string                  `json:"variant"`
 	N              int                     `json:"n"`
@@ -116,7 +115,7 @@ type TraceSummary struct {
 	Series         []telemetry.SeriesPoint `json:"series"`
 }
 
-// Summarize digests a traced run for the bench JSON record.
+// Summarize digests a traced run.
 func (o TraceOptions) Summarize(res driver.Result, tr *telemetry.Tracer) TraceSummary {
 	o = o.withDefaults()
 	st := tr.Stats()

@@ -346,9 +346,6 @@ func (c *Cluster) Network() *transport.ChannelNetwork { return c.net }
 // sequence.
 func (c *Cluster) FaultSchedule() faults.Schedule { return c.faults.Schedule() }
 
-// FaultStats returns the shared injector's fault counters.
-func (c *Cluster) FaultStats() map[string]int64 { return c.faults.Stats() }
-
 // Close shuts the whole cluster down.
 func (c *Cluster) Close() error {
 	if c.telem != nil {

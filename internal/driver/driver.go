@@ -13,10 +13,9 @@
 // Fault injection — cheap-message loss and duplication, delivery jitter,
 // node pause/resume — goes through internal/faults: a single code path with
 // its own deterministic RNG, so recorded fault schedules replay exactly.
-// The legacy DropCheap/DupCheap knobs are kept as sugar that builds a
-// faults.Plan internally. The paper's claim that cheap-message faults
-// affect only performance, never safety, is exercised by tests that run
-// with heavy loss and verify every request is still served.
+// The paper's claim that cheap-message faults affect only performance,
+// never safety, is exercised by tests that run with heavy loss and verify
+// every request is still served.
 package driver
 
 import (
@@ -31,10 +30,6 @@ import (
 	"adaptivetoken/internal/workload"
 )
 
-// legacySalt derives the fault-injector seed from Options.Seed when the
-// legacy DropCheap/DupCheap knobs are used instead of an explicit injector.
-const legacySalt = 0x5bd1e995c3b7c0de
-
 // Options configures a simulation run.
 type Options struct {
 	// Seed drives all randomness (workload and delays).
@@ -48,20 +43,9 @@ type Options struct {
 	Delay sim.DelayModel
 	// CSTime is how long a grantee holds the token before releasing.
 	CSTime sim.Time
-	// DropCheap is the probability of dropping each cheap
-	// (non-correctness-bearing) message.
-	//
-	// Deprecated sugar: it builds a faults.Plan{Seed: Seed ^ legacySalt,
-	// DropCheap: DropCheap, DupCheap: DupCheap} internally. Mutually
-	// exclusive with Faults.
-	DropCheap float64
-	// DupCheap is the probability of duplicating each cheap message —
-	// cheap messages carry no delivery guarantees at all, including
-	// at-most-once. Same sugar as DropCheap.
-	DupCheap float64
 	// Faults is the fault injector for this run (policy or replay mode);
-	// nil means one is built from the legacy knobs above. The injector's
-	// pause windows are scheduled automatically.
+	// nil means no faults. The injector's pause windows are scheduled
+	// automatically.
 	Faults *faults.Injector
 	// Observer, if set, receives every state-machine step and injected
 	// fault (the conformance checker plugs in here).
@@ -154,17 +138,10 @@ func New(cfg protocol.Config, opts Options) (*Runner, error) {
 	if r.opts.Delay == nil {
 		r.opts.Delay = sim.ConstantDelay{D: 1}
 	}
-	if opts.Faults != nil {
-		if opts.DropCheap > 0 || opts.DupCheap > 0 {
-			return nil, fmt.Errorf("driver: Options.Faults and the legacy DropCheap/DupCheap knobs are mutually exclusive")
-		}
-		r.faults = opts.Faults
-	} else {
-		inj, err := faults.NewInjector(faults.Plan{
-			Seed:      opts.Seed ^ legacySalt,
-			DropCheap: opts.DropCheap,
-			DupCheap:  opts.DupCheap,
-		})
+	r.faults = opts.Faults
+	if r.faults == nil {
+		// The zero plan injects nothing and never draws from its RNG.
+		inj, err := faults.NewInjector(faults.Plan{})
 		if err != nil {
 			return nil, err
 		}

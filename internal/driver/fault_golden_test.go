@@ -116,3 +116,41 @@ func TestFaultGoldenTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestNilFaultsIsTheZeroPlan: a run without Options.Faults injects nothing
+// and is the run of an explicit zero-plan injector whatever that injector's
+// seed — the zero plan never draws, which is why driver.New needs no seed
+// for its default.
+func TestNilFaultsIsTheZeroPlan(t *testing.T) {
+	cfg := protocol.Config{Variant: protocol.BinarySearch, N: 16, TrapGC: protocol.GCRotation}
+	run := func(inj *faults.Injector) uint64 {
+		dig := newTraceDigest()
+		r, err := driver.New(cfg, driver.Options{Seed: 7, Observer: dig, Faults: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		end, err := r.RunWorkload(workload.Poisson{N: cfg.N, MeanGap: 10}, 400, 1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := r.FaultSchedule()
+		if len(sched.Actions)+len(sched.Pauses)+len(sched.Churn) != 0 {
+			t.Errorf("fault schedule not empty: %+v", sched)
+		}
+		msgs := r.Summarize(end).Messages
+		if msgs["dropped"] != 0 || msgs["duplicated"] != 0 {
+			t.Errorf("faults counted on a fault-free run: %v", msgs)
+		}
+		return dig.h
+	}
+	want := run(nil)
+	for _, seed := range []uint64{1, 0xdecafbad} {
+		inj, err := faults.NewInjector(faults.Plan{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := run(inj); got != want {
+			t.Errorf("zero plan seeded %#x: digest %#016x, nil Faults %#016x", seed, got, want)
+		}
+	}
+}

@@ -9,54 +9,6 @@ import (
 	"adaptivetoken/internal/workload"
 )
 
-// The legacy DropCheap/DupCheap knobs and an explicit faults.Plan are one
-// code path: the same probabilities under the same derived seed produce the
-// identical run, so loss probabilities compose predictably however they are
-// configured.
-func TestLegacyKnobsAndPlanShareOnePath(t *testing.T) {
-	cfg := protocol.Config{Variant: protocol.BinarySearch, N: 8}
-	gen := workload.Poisson{N: 8, MeanGap: 40}
-
-	run := func(opts Options) Result {
-		r, err := New(cfg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		end, err := r.RunWorkload(gen, 300, 1_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Summarize(end)
-	}
-
-	legacy := run(Options{Seed: 17, DropCheap: 0.3, DupCheap: 0.2})
-
-	inj, err := faults.NewInjector(faults.Plan{
-		Seed: 17 ^ legacySalt, DropCheap: 0.3, DupCheap: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	planned := run(Options{Seed: 17, Faults: inj})
-
-	if !reflect.DeepEqual(legacy, planned) {
-		t.Fatalf("legacy knobs and explicit plan diverge:\nlegacy  %+v\nplanned %+v", legacy, planned)
-	}
-	if legacy.Messages["dropped"] == 0 || legacy.Messages["duplicated"] == 0 {
-		t.Fatalf("fault path inert: %v", legacy.Messages)
-	}
-}
-
-func TestFaultsAndLegacyKnobsMutuallyExclusive(t *testing.T) {
-	inj, err := faults.NewInjector(faults.Plan{Seed: 1, DropCheap: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := protocol.Config{Variant: protocol.RingToken, N: 4}
-	if _, err := New(cfg, Options{Seed: 1, DropCheap: 0.1, Faults: inj}); err == nil {
-		t.Fatal("both Faults and DropCheap accepted")
-	}
-}
-
 // A recorded fault schedule replays to the identical run: the foundation of
 // torture artifacts and shrinking.
 func TestFaultScheduleReplayReproducesRun(t *testing.T) {

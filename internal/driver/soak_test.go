@@ -36,7 +36,7 @@ func TestSoakAllVariants(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				for gi, mk := range gens {
 					inj := mustInjector(t, faults.Plan{
-						Seed: seed ^ legacySalt, DropCheap: 0.15, DupCheap: 0.10})
+						Seed: seed ^ seedSalt, DropCheap: 0.15, DupCheap: 0.10})
 					r, err := New(cfg, Options{
 						Seed:   seed,
 						Faults: inj,

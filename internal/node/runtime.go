@@ -301,11 +301,6 @@ func (r *Runtime) OnApp(fn func(transport.AppData)) {
 	r.onApp = fn
 }
 
-// SendApp sends application data to one node (to == ID() loops back).
-func (r *Runtime) SendApp(to int, d transport.AppData) error {
-	return r.ep.Send(transport.Envelope{To: to, App: &d})
-}
-
 // BroadcastApp sends application data to every node, including this one.
 func (r *Runtime) BroadcastApp(n int, d transport.AppData) error {
 	for i := 0; i < n; i++ {

@@ -35,8 +35,6 @@ type Config struct {
 	Protocol protocol.Config
 	// Seed is the cluster seed; shard k runs under ShardSeed(Seed, k).
 	Seed uint64
-	// Scheduler picks the per-shard event scheduler (nil = engine default).
-	Scheduler sim.Scheduler
 	// CSTime is the critical-section hold per grant.
 	CSTime sim.Time
 	// Plans are optional per-shard fault plans (nil entries inject
@@ -93,7 +91,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		pcfg.N = cfg.Nodes
 		opts := driver.Options{
 			Seed:          ShardSeed(cfg.Seed, k),
-			Scheduler:     cfg.Scheduler,
 			CSTime:        cfg.CSTime,
 			TrackFairness: cfg.TrackFairness,
 		}

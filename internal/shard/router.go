@@ -69,11 +69,6 @@ func (r *Router) Route(key uint64) int {
 	return int(r.table[mix64(key)&r.mask])
 }
 
-// RouteInt is Route for non-negative integer keys (node ids, user ids).
-func (r *Router) RouteInt(key int) int {
-	return r.Route(uint64(key))
-}
-
 // SetView replaces the live shard set and regenerates the lookup table.
 // Keys owned by surviving shards do not move (the rendezvous minimal-
 // disruption property); keys of departed shards scatter over the

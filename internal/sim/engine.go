@@ -71,7 +71,7 @@ const (
 	SchedulerHeap
 )
 
-// String names the scheduler as the CLI and BENCH records spell it.
+// String names the scheduler (test and benchmark sub-names).
 func (s Scheduler) String() string {
 	switch s {
 	case SchedulerWheel:
@@ -80,18 +80,6 @@ func (s Scheduler) String() string {
 		return "heap"
 	default:
 		return fmt.Sprintf("scheduler(%d)", uint8(s))
-	}
-}
-
-// ParseScheduler inverts Scheduler.String (the -scheduler CLI flag).
-func ParseScheduler(name string) (Scheduler, error) {
-	switch name {
-	case "wheel", "":
-		return SchedulerWheel, nil
-	case "heap":
-		return SchedulerHeap, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown scheduler %q (want wheel or heap)", name)
 	}
 }
 

@@ -116,23 +116,6 @@ func TestWheelBatchDispatchSameTimeAppend(t *testing.T) {
 	}
 }
 
-// ParseScheduler must invert String for both schedulers, default the empty
-// string to the wheel, and reject unknown names.
-func TestParseSchedulerRoundTrip(t *testing.T) {
-	for _, s := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		got, err := ParseScheduler(s.String())
-		if err != nil || got != s {
-			t.Fatalf("ParseScheduler(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if got, err := ParseScheduler(""); err != nil || got != SchedulerWheel {
-		t.Fatalf("ParseScheduler(\"\") = %v, %v, want wheel", got, err)
-	}
-	if _, err := ParseScheduler("calendar"); err == nil {
-		t.Fatal("ParseScheduler(\"calendar\") accepted an unknown scheduler")
-	}
-}
-
 // The heap scheduler must hold the same steady-state zero-allocation bar as
 // the wheel (which TestEngineSteadyStateAllocFree covers via the default).
 func TestEngineSteadyStateAllocFreeHeap(t *testing.T) {

@@ -58,84 +58,59 @@ type chromeTrace struct {
 // naming.
 func (t *Tracer) WriteChromeTrace(w io.Writer, n int) error {
 	tr := chromeTrace{DisplayTimeUnit: "ms"}
-	appendChromeProcess(&tr, t, n, 0, "adaptivetoken")
-	enc := json.NewEncoder(w)
-	return enc.Encode(tr)
-}
-
-// WriteChromeTraceShards exports per-shard tracers as one Chrome trace
-// with one process per shard (pid = shard id): each shard gets its own
-// node lanes, cluster lane and counter tracks, and Perfetto's process
-// grouping gives the aggregate view for free. n is the per-shard ring
-// size; nil tracers are skipped.
-func WriteChromeTraceShards(w io.Writer, tracers []*Tracer, n int) error {
-	tr := chromeTrace{DisplayTimeUnit: "ms"}
-	for k, t := range tracers {
-		if t == nil {
-			continue
-		}
-		appendChromeProcess(&tr, t, n, k, fmt.Sprintf("shard %d", k))
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(tr)
-}
-
-// appendChromeProcess renders one tracer as Chrome process pid: metadata
-// naming the process and its lanes, then every ring record.
-func appendChromeProcess(tr *chromeTrace, t *Tracer, n, pid int, name string) {
 	tr.TraceEvents = append(tr.TraceEvents,
-		chromeEvent{Name: "process_name", Phase: "M", PID: pid,
-			Args: map[string]any{"name": name}})
+		chromeEvent{Name: "process_name", Phase: "M",
+			Args: map[string]any{"name": "adaptivetoken"}})
 	for i := 0; i < n; i++ {
 		tr.TraceEvents = append(tr.TraceEvents,
-			chromeEvent{Name: "thread_name", Phase: "M", PID: pid, TID: i,
+			chromeEvent{Name: "thread_name", Phase: "M", TID: i,
 				Args: map[string]any{"name": fmt.Sprintf("node %d", i)}})
 	}
 	tr.TraceEvents = append(tr.TraceEvents,
-		chromeEvent{Name: "thread_name", Phase: "M", PID: pid, TID: n,
+		chromeEvent{Name: "thread_name", Phase: "M", TID: n,
 			Args: map[string]any{"name": "cluster"}})
-
 	t.Records(func(r Record) {
-		tr.TraceEvents = append(tr.TraceEvents, toChrome(r, n, pid)...)
+		tr.TraceEvents = append(tr.TraceEvents, toChrome(r, n)...)
 	})
+	return json.NewEncoder(w).Encode(tr)
 }
 
-// toChrome renders one ring record as trace events under process pid.
-func toChrome(r Record, n, pid int) []chromeEvent {
+// toChrome renders one ring record as trace events.
+func toChrome(r Record, n int) []chromeEvent {
 	ts := int64(r.At)
 	switch r.Kind {
 	case RecWaitSpan, RecHoldSpan:
 		d := int64(r.Dur())
 		return []chromeEvent{{Name: r.Kind.String(), Phase: "X",
-			TS: int64(r.Start), Dur: &d, PID: pid, TID: int(r.Node)}}
+			TS: int64(r.Start), Dur: &d, TID: int(r.Node)}}
 	case RecRespSpan:
 		d := int64(r.Dur())
 		return []chromeEvent{{Name: r.Kind.String(), Phase: "X",
-			TS: int64(r.Start), Dur: &d, PID: pid, TID: n,
+			TS: int64(r.Start), Dur: &d, TID: n,
 			Args: map[string]any{"granted_to": r.Node}}}
 	case RecRequest:
 		return []chromeEvent{{Name: "request", Phase: "i", TS: ts,
-			PID: pid, TID: int(r.Node), Scope: "t"}}
+			TID: int(r.Node), Scope: "t"}}
 	case RecGrant:
 		return []chromeEvent{{Name: "grant", Phase: "i", TS: ts,
-			PID: pid, TID: n, Scope: "p",
+			TID: n, Scope: "p",
 			Args: map[string]any{"node": r.Node, "forwards": r.A}}}
 	case RecHop, RecProbe, RecRecovery:
 		return []chromeEvent{{Name: r.Kind.String(), Phase: "i", TS: ts,
-			PID: pid, TID: int(r.Node), Scope: "t",
+			TID: int(r.Node), Scope: "t",
 			Args: map[string]any{"from": r.A, "msg": protocol.MsgKind(r.B).String()}}}
 	case RecFault:
 		return []chromeEvent{{Name: "fault", Phase: "i", TS: ts,
-			PID: pid, TID: n, Scope: "p",
+			TID: n, Scope: "p",
 			Args: map[string]any{"fault": host.FaultKind(r.A).String(),
 				"msg": protocol.MsgKind(r.B).String(), "node": r.Node}}}
 	case RecSample:
 		return []chromeEvent{
-			{Name: "ready", Phase: "C", TS: ts, PID: pid,
+			{Name: "ready", Phase: "C", TS: ts,
 				Args: map[string]any{"ready": r.A}},
-			{Name: "in-flight", Phase: "C", TS: ts, PID: pid,
+			{Name: "in-flight", Phase: "C", TS: ts,
 				Args: map[string]any{"in-flight": r.B}},
-			{Name: "holder", Phase: "C", TS: ts, PID: pid,
+			{Name: "holder", Phase: "C", TS: ts,
 				Args: map[string]any{"holder": r.Node}},
 		}
 	}

@@ -49,7 +49,7 @@ func init() {
 			Faulty: func(Scenario) []int { return []int{0} },
 			Plan: func(sc Scenario) faults.Plan {
 				return faults.Plan{
-					Seed: sc.Seed ^ planSalt,
+					Seed:   sc.Seed ^ planSalt,
 					Unsafe: true, DupToken: 0.3,
 				}
 			},

@@ -258,8 +258,8 @@ var mixes = map[string]Mix{
 		Name: "live-lossy", Live: true, Conformance: true,
 		Plan: func(sc Scenario) faults.Plan {
 			return faults.Plan{
-				Seed:      sc.Seed ^ planSalt,
-				DropCheap: 0.25,
+				Seed:       sc.Seed ^ planSalt,
+				DropCheap:  0.25,
 				JitterProb: 0.15, JitterMax: 3,
 			}
 		},

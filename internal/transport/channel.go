@@ -34,13 +34,6 @@ func NewChannelNetwork(n int) (*ChannelNetwork, error) {
 // Endpoint returns node id's endpoint.
 func (cn *ChannelNetwork) Endpoint(id int) Endpoint { return cn.eps[id] }
 
-// CutLink severs (or heals) the directed link from → to.
-func (cn *ChannelNetwork) CutLink(from, to int, severed bool) {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	cn.cut[[2]int{from, to}] = severed
-}
-
 // Isolate severs (or heals) every link to and from id — a node partition.
 func (cn *ChannelNetwork) Isolate(id int, severed bool) {
 	cn.mu.Lock()
