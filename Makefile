@@ -84,20 +84,27 @@ smoke-live: build
 trace-demo: build
 	$(GO) run ./cmd/tokensim -trace trace.json -requests 500 -seed 1
 
-# "Which layer dominates": a sequential CPU profile of Figure 10 (n=100,
-# load falling to mean gap 500 — over half its events are bare token hops,
-# the rest search traffic), then its top entries. See EXPERIMENTS.md
-# ("Which layer dominates"); cpu.pprof is git-ignored.
+# "Which layer dominates": a sequential CPU profile of one experiment, then
+# its top entries. The default is Figure 10 (n=100, load falling to mean gap
+# 500 — over half its events are bare token hops, the rest search traffic);
+# `make profile-sim EXP=fig9big NODES=1000000` profiles the whole scaling
+# sweep up to a 10⁶-node ring (~70 s, LinearSearch-bound). See EXPERIMENTS.md
+# ("Which layer dominates"), which also has the command for the benchmark's
+# sim-big ring alone; cpu.pprof is git-ignored.
+EXP ?= fig10
+NODES ?= 0
 profile-sim:
-	$(GO) run ./cmd/tokensim -exp fig10 -requests 10000 -parallel 1 \
+	$(GO) run ./cmd/tokensim -exp $(EXP) -nodes $(NODES) -requests 10000 -parallel 1 \
 		-cpuprofile cpu.pprof > /dev/null
 	$(GO) tool pprof -top -nodecount=25 cpu.pprof
 
-# Short native-fuzzing smoke over the protocol state machines, the CSV
-# round-trip and the Prometheus text encoder; CI runs the same targets.
+# Short native-fuzzing smoke over the protocol state machines, the
+# satisfaction record against its reference model, the CSV round-trip and
+# the Prometheus text encoder; CI runs the same targets.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzDirectedSearch -fuzztime 10s ./internal/protocol/
 	$(GO) test -run XXX -fuzz FuzzPushProbe -fuzztime 10s ./internal/protocol/
+	$(GO) test -run XXX -fuzz FuzzServedRecord -fuzztime 10s ./internal/protocol/
 	$(GO) test -run XXX -fuzz FuzzChurnSchedule -fuzztime 10s ./internal/driver/
 	$(GO) test -run XXX -fuzz FuzzParseCSV -fuzztime 10s ./internal/bench/
 	$(GO) test -run XXX -fuzz FuzzEventHeap -fuzztime 10s ./internal/sim/

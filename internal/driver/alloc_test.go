@@ -1,9 +1,12 @@
 package driver
 
 import (
+	"runtime"
 	"testing"
 
 	"adaptivetoken/internal/protocol"
+	"adaptivetoken/internal/sim"
+	"adaptivetoken/internal/workload"
 )
 
 // TestIdleRingStepZeroAlloc pins the copy discipline where it runs: on a
@@ -23,9 +26,25 @@ func TestIdleRingStepZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			eng := r.Engine()
+			// Two grants first, so that under rotation GC the token carries
+			// a satisfaction record and every hop hands its window over.
+			for _, node := range []int{3, 9} {
+				if err := r.Request(1, node); err != nil {
+					t.Fatal(err)
+				}
+			}
 			// Bootstrap and a few rotations, so slab, wheel and the host's
 			// scratch effects reach steady capacity.
 			eng.Drain(4 * cfg.N)
+			if cfg.TrapGC == protocol.GCRotation {
+				carried := 0
+				for i := range r.nodes {
+					carried = max(carried, r.nodes[i].Stats().Served)
+				}
+				if carried != 2 {
+					t.Fatalf("the token carries a %d-entry record, want 2", carried)
+				}
+			}
 			allocs := testing.AllocsPerRun(1000, func() {
 				if !eng.Step() {
 					t.Fatal("idle ring ran out of events")
@@ -38,5 +57,40 @@ func TestIdleRingStepZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestRotationGCGrantAllocBudget pins what a grant allocates on a ring large
+// enough for the satisfaction record to sit at its 512-entry cap, where nearly
+// every requester is fresh to it: the record is appended in place on the
+// backing it shares with the token's earlier holders, so a grant pays for its
+// search traffic and a 1/512 share of one window copy — not for a clone and a
+// regrowth of the whole record (~20 kB a grant here, ~25 kB on sim-big, before
+// the record rode the token).
+func TestRotationGCGrantAllocBudget(t *testing.T) {
+	const (
+		n        = 20_000
+		requests = 2_000
+		budget   = 6_000 // bytes per grant
+	)
+	r, err := New(protocol.Config{Variant: protocol.BinarySearch, N: n, TrapGC: protocol.GCRotation}, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	end, err := r.RunWorkload(workload.Poisson{N: n, MeanGap: 10}, requests, sim.Time(1)<<40)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grants := r.Summarize(end).Grants
+	if grants == 0 {
+		t.Fatal("no grants")
+	}
+	perGrant := float64(after.TotalAlloc-before.TotalAlloc) / float64(grants)
+	t.Logf("%.0f B allocated per grant over %d grants", perGrant, grants)
+	if perGrant > budget {
+		t.Fatalf("over the budget of %d B per grant", budget)
 	}
 }

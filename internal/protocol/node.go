@@ -74,13 +74,12 @@ type Node struct {
 	// holding.
 	attach string
 
-	// served is the rotation-GC satisfaction record riding on the token;
-	// curGrantSeq is the request sequence being served while in CS.
-	// servedShared marks the buffer as aliased by a message (frozen):
-	// mutation goes through ownServed's copy-on-write (see served.go).
-	served       []ServedRec
-	servedShared bool
-	curGrantSeq  uint64
+	// served is the rotation-GC satisfaction record riding on the token, a
+	// window over a backing shared with every message and node that has
+	// seen it (see served.go); curGrantSeq is the request sequence being
+	// served while in CS.
+	served      []ServedRec
+	curGrantSeq uint64
 }
 
 // trapEntry is a stored token trap τ_requester. Ring positions are int32
@@ -720,7 +719,7 @@ func (n *Node) popTrap() (trapEntry, bool) {
 			n.traps = n.traps[:0]
 			n.trapHead = 0
 		}
-		if n.cfg.TrapGC == GCRotation && n.isServed(tr) {
+		if n.cfg.TrapGC == GCRotation && servedIn(n.served, tr) {
 			continue
 		}
 		return tr, true
