@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-mem vet fmt loc check clean torture torture-shards fuzz smoke-live trace-demo profile-sim
+.PHONY: build test race bench bench-mem vet fmt loc check clean torture torture-shards fuzz smoke-live trace-demo profile-sim profile-sim-big
 
 build:
 	$(GO) build ./...
@@ -98,13 +98,25 @@ profile-sim:
 		-cpuprofile cpu.pprof > /dev/null
 	$(GO) tool pprof -top -nodecount=25 cpu.pprof
 
+# The benchmark's sim-big ring alone — one BinarySearch ring of 10⁶ nodes,
+# 20,000 requests at gap 10, three passes — which `profile-sim EXP=fig9big`
+# is not (that sweep caps its 10⁶ point at 20 requests). Ring construction
+# is in the profile too; -focus=RunWorkload keeps to the timed part, by CPU
+# and by bytes allocated. cpu.pprof and mem.pprof are git-ignored.
+profile-sim-big:
+	$(GO) test -run '^$$' -bench 'SimulatedGrant/n=1000000' -benchtime 60000x \
+		-cpuprofile cpu.pprof -memprofile mem.pprof -o /dev/null .
+	$(GO) tool pprof -focus=RunWorkload -top -nodecount=25 cpu.pprof
+	$(GO) tool pprof -focus=RunWorkload -sample_index=alloc_space -top -nodecount=25 mem.pprof
+
 # Short native-fuzzing smoke over the protocol state machines, the
-# satisfaction record against its reference model, the CSV round-trip and
-# the Prometheus text encoder; CI runs the same targets.
+# satisfaction record and the trap table against their reference models, the
+# CSV round-trip and the Prometheus text encoder; CI runs the same targets.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzDirectedSearch -fuzztime 10s ./internal/protocol/
 	$(GO) test -run XXX -fuzz FuzzPushProbe -fuzztime 10s ./internal/protocol/
 	$(GO) test -run XXX -fuzz FuzzServedRecord -fuzztime 10s ./internal/protocol/
+	$(GO) test -run XXX -fuzz FuzzTrapTable -fuzztime 10s ./internal/protocol/
 	$(GO) test -run XXX -fuzz FuzzChurnSchedule -fuzztime 10s ./internal/driver/
 	$(GO) test -run XXX -fuzz FuzzParseCSV -fuzztime 10s ./internal/bench/
 	$(GO) test -run XXX -fuzz FuzzEventHeap -fuzztime 10s ./internal/sim/

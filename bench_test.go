@@ -161,9 +161,8 @@ func BenchmarkSaturation(b *testing.B) {
 // the BinarySearch protocol under moderate load, at n=128 and on the
 // benchmark's sim-big ring (n=10⁶, 20,000 requests a ring — the working set
 // is far beyond cache and the satisfaction record sits at its 512-entry cap).
-// Rings are built with the timer stopped; a profile of the big ring is
-// `-bench 'SimulatedGrant/n=1000000' -benchtime 60000x -cpuprofile cpu.pprof`
-// read with `pprof -focus=RunWorkload`.
+// Rings are built with the timer stopped; `make profile-sim-big` profiles the
+// big ring.
 func BenchmarkSimulatedGrant(b *testing.B) {
 	for _, size := range []struct{ n, batch int }{{128, 500}, {1_000_000, 20_000}} {
 		b.Run(fmt.Sprintf("n=%d", size.n), func(b *testing.B) {

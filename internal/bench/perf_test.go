@@ -41,10 +41,16 @@ func timedSlice(tb testing.TB) (int64, time.Duration) {
 	return events, time.Since(start)
 }
 
+// throughputPasses bounds how many times the gate times the slice.
+const throughputPasses = 10
+
 // TestThroughputBudget is the throughput-regression gate: the fixed fig9
 // slice, run sequentially, must sustain the budgeted events/sec minus
-// headroom. Best of three passes — transient scheduling stalls only ever
-// make a run slower, so the maximum is the machine's real capability.
+// headroom. The slice is timed until a pass meets the floor, at most
+// throughputPasses times: a stall — other packages testing in parallel on a
+// two-CPU host — only ever makes a pass slower, so the maximum is the
+// machine's real capability, and code that cannot reach the floor fails
+// every pass. Every pass's rate is logged.
 func TestThroughputBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("throughput gate: wall-clock budget is meaningless under the race detector")
@@ -56,16 +62,20 @@ func TestThroughputBudget(t *testing.T) {
 	if budget.EventsPerSec <= 0 || budget.Headroom <= 0 || budget.Headroom >= 1 {
 		t.Fatalf("perf_budget.json not sane: %+v", budget)
 	}
+	floor := budget.EventsPerSec * (1 - budget.Headroom)
+	// Printing a new budget wants the machine's best, not its first pass
+	// over the old floor.
+	printing := os.Getenv("PERF_BUDGET_PRINT") != ""
 
 	var best float64
-	for i := 0; i < 3; i++ {
+	for pass := 1; pass <= throughputPasses && (printing || best < floor); pass++ {
 		events, elapsed := timedSlice(t)
-		if eps := float64(events) / elapsed.Seconds(); eps > best {
-			best = eps
-		}
+		eps := float64(events) / elapsed.Seconds()
+		t.Logf("pass %d: %.0f events/sec", pass, eps)
+		best = max(best, eps)
 	}
 
-	if os.Getenv("PERF_BUDGET_PRINT") != "" {
+	if printing {
 		out, _ := json.MarshalIndent(perfBudget{
 			EventsPerSec: round2(best),
 			Headroom:     budget.Headroom,
@@ -73,7 +83,6 @@ func TestThroughputBudget(t *testing.T) {
 		fmt.Printf("measured budget:\n%s\n", out)
 	}
 
-	floor := budget.EventsPerSec * (1 - budget.Headroom)
 	t.Logf("throughput %.0f events/sec (budget %.0f, floor %.0f)", best, budget.EventsPerSec, floor)
 	if best < floor {
 		t.Errorf("throughput regression: %.0f events/sec below floor %.0f (budget %.0f -%.0f%%)",

@@ -524,6 +524,7 @@ func (r *Runner) RunWorkload(gen workload.Generator, count int, maxTime sim.Time
 	if len(reqs) == 0 {
 		return r.eng.Now(), nil
 	}
+	r.eng.Reserve(len(reqs))
 	for _, req := range reqs {
 		if err := r.Request(req.At, req.Node); err != nil {
 			return 0, err

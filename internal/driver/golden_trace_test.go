@@ -23,6 +23,11 @@ var goldenTraces = map[string]uint64{
 	"linear/seed2":    0x0430c36faf924709,
 	"binsearch/seed1": 0x91165afdbb9b29d4,
 	"binsearch/seed2": 0x6624c55954f98f29,
+	// Recorded at 59e6a73, before Node was split hot/cold: the two shipped
+	// configurations that write state the figure variants leave alone
+	// (TestGoldenTraceWrittenState).
+	"adaptive/seed1": 0x43c99c0e7358b845,
+	"attach/seed1":   0xd5b3136dbfd93dae,
 }
 
 // traceDigest folds every observed step and fault event into an FNV-1a hash.
@@ -134,4 +139,83 @@ func TestGoldenTrace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// attachWriter is the digest plus an application in the style of tobcast:
+// every grant rewrites the token's attachment to the next sequence number, so
+// the attachment rides every token message from the first grant on. The
+// digest proper folds in only an attachment's length; this one adds its bytes.
+type attachWriter struct {
+	*traceDigest
+	r       *driver.Runner
+	seq     int
+	carried string // the attachment on the last token message sent
+	err     error
+}
+
+func (a *attachWriter) OnStep(s driver.Step) {
+	a.traceDigest.OnStep(s)
+	for _, m := range s.Effects.Msgs {
+		for _, c := range []byte(m.Attach) {
+			a.u64(uint64(c))
+		}
+		if m.Kind.Expensive() {
+			a.carried = m.Attach
+		}
+	}
+	if s.Effects.Granted {
+		a.seq++
+		if err := a.r.Node(s.Node).SetAttachment(fmt.Sprintf("seq=%d", a.seq)); err != nil && a.err == nil {
+			a.err = err
+		}
+	}
+}
+
+// TestGoldenTraceWrittenState pins, against digests recorded before the
+// split, the traces of the two configurations whose nodes write what the
+// figure variants never do: an AdaptiveSpeed ring, where every idle hop
+// rewrites holdCur (kept in the hot part for that reason), and a ring whose
+// application keeps a non-empty attachment on the token, which every arrival
+// stores into the lazily allocated cold part.
+func TestGoldenTraceWrittenState(t *testing.T) {
+	print := os.Getenv("GOLDEN_TRACE_PRINT") != ""
+	check := func(key string, got uint64) {
+		t.Helper()
+		if print {
+			fmt.Printf("\t%q: %#016x,\n", key, got)
+		} else if want := goldenTraces[key]; got != want {
+			t.Errorf("%s: trace digest %#016x, want %#016x", key, got, want)
+		}
+	}
+
+	adaptive := protocol.Config{
+		Variant: protocol.BinarySearch, N: 64, TrapGC: protocol.GCRotation,
+		AdaptiveSpeed: true, MinHold: 1, MaxHold: 256,
+	}
+	dig := newTraceDigest()
+	r, err := driver.New(adaptive, driver.Options{Seed: 1, Observer: dig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RunWorkload(workload.Poisson{N: 64, MeanGap: 500}, 300, 5_000_000); err != nil {
+		t.Fatal(err)
+	}
+	check("adaptive/seed1", dig.h)
+
+	app := &attachWriter{traceDigest: newTraceDigest()}
+	app.r, err = driver.New(protocol.Config{Variant: protocol.BinarySearch, N: 64, TrapGC: protocol.GCRotation},
+		driver.Options{Seed: 1, Observer: app})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.r.RunWorkload(workload.Poisson{N: 64, MeanGap: 10}, 1500, 5_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if app.err != nil {
+		t.Fatal(app.err)
+	}
+	if want := fmt.Sprintf("seq=%d", app.seq); app.seq == 0 || app.carried != want {
+		t.Fatalf("the token carries %q after %d grants, want %q", app.carried, app.seq, want)
+	}
+	check("attach/seed1", app.h)
 }

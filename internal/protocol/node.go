@@ -2,66 +2,99 @@ package protocol
 
 import (
 	"fmt"
+	"math"
 
 	"adaptivetoken/internal/bitset"
-	"adaptivetoken/internal/ring"
 )
 
 // Node is one participant's protocol state machine. It is deterministic and
 // transport-agnostic: inputs arrive via HandleMessage, HandleTimer, Request
 // and Release; outputs are returned as Effects. Not safe for concurrent
 // use — hosts serialize.
+//
+// A ring of 10⁶ nodes is 10⁶ of these in one slab, and a search touches
+// O(log N) of them cold, so the struct holds only what a message or timer of
+// a fault-free run reads or writes; DESIGN.md §13 ("Memory layout") has the
+// field table and TestNodeLayout the bound.
 type Node struct {
+	// The fields are ordered by who touches them, because on a big ring
+	// every visit is to a node that is cold in cache: a search hop reads and
+	// writes the first 88 bytes (through trapAt), a token hop the rest as
+	// well, and what only the node's own request uses comes last.
+
 	// cfg is shared, never copied per node: a driver building a 10⁶-node
 	// ring hands every node the same pointer (see Init). Nodes never
 	// write it.
 	cfg *Config
-	id  int
-	rg  ring.Ring
+	// cold is everything no per-hop path of a shipped configuration
+	// writes; nil until the first such write (see nodeCold).
+	cold *nodeCold
 
-	// Token possession.
-	hasToken bool
-	inCS     bool // granted to the local application
-	returnTo int  // decorated-token return address, or None
-	round    uint64
+	// Ring positions are int32, as in trapEntry. returnTo is the
+	// decorated-token return address, or None.
+	id       int32
+	returnTo int32
+	trapHead int32
+
+	hasToken  bool
+	inCS      bool // granted to the local application
+	pending   bool // a local request is outstanding
+	sawDemand bool // adaptive speed: a search passed since the last hold
+	// bootstrapped guards GiveToken: a node injects a token at most
+	// once, so a repeated bootstrap cannot duplicate it.
+	bootstrapped bool
+
+	// Token sightings: the stamp of the last one, and the circulation
+	// round while holding.
 	lastSeen uint64
-
-	// Local request.
-	pending bool
-	reqSeq  uint64
+	round    uint64
 
 	// Trap table, FIFO: the live entries are traps[trapHead:], oldest
-	// first. Pops advance the head cursor instead of shifting, and trapAt
-	// indexes live entries by requester (absolute slice index) so the
-	// per-search-hop dedup is O(1) instead of a table scan — the post-PR-6
-	// profile had that scan at ~49% of fig9 CPU (see DESIGN.md §10,
-	// "Follow-up: the O(1) trap path").
-	traps    []trapEntry
-	trapHead int
-	trapAt   trapIndex
+	// first. Pops advance the head cursor instead of shifting. trapAt
+	// indexes live entries by requester (absolute slice index); it is nil,
+	// and lookups scan the live window, until the table first outgrows
+	// trapScanMax (see addTrap and DESIGN.md §10, "The trap table").
+	traps  []trapEntry
+	trapAt *trapIndex
+
+	// served is the rotation-GC satisfaction record riding on the token, a
+	// window over a backing shared with every message and node that has
+	// seen it (see served.go).
+	served []ServedRec
+
+	// epoch is the token epoch of §5 failure handling.
+	epoch uint64
+
 	// agedSeen is the lastSeen value ageTraps last swept at: no trap can
 	// expire until the token round advances, so sweeps in between are
 	// skipped.
 	agedSeen uint64
 
-	// Timer generations.
+	// Timer generations. pushGen moves on every pass, and holdCur on every
+	// idle hop under AdaptiveSpeed, which is why neither is cold.
 	holdGen uint64
 	pushGen uint64
+	holdCur Time
 
-	// Adaptive speed.
-	holdCur   Time
-	sawDemand bool
+	// reqSeq numbers the local requests; curGrantSeq is the one being
+	// served while in CS.
+	reqSeq      uint64
+	curGrantSeq uint64
+}
 
-	// Directed search cursor.
-	probeWindow int
-	probePos    int
-
-	// bootstrapped guards GiveToken: a node injects a token at most
-	// once, so a repeated bootstrap cannot duplicate it.
-	bootstrapped bool
-
-	// Failure handling (§5): token epoch and in-progress recovery.
-	epoch    uint64
+// nodeCold is the part of a node's state that only recovery rounds,
+// membership views, application attachments and the directed-search cursor
+// write. The rule for a field to live here: no token hop and no search hop
+// through a node writes it in any shipped configuration — recovery and views
+// are fault handling, an attachment is written by the application at the
+// holder, the cursor moves at the requester itself
+// (TestRotationGCGrantAllocBudget holds a 20,000-node BinarySearch ring to
+// that, TestColdStateAllocatedOnFirstRealWrite a single node). Reads go
+// through the nil-safe accessors view, probing, Attachment and ViewEpoch; a
+// write goes through coldState, which allocates, so a write that would leave
+// the zero value in place is skipped instead (setAttach).
+type nodeCold struct {
+	// Failure handling (§5): the probe round in progress.
 	recovery recoveryState
 
 	// Membership view (§5 churn): a zero-length live set means the full
@@ -74,12 +107,18 @@ type Node struct {
 	// holding.
 	attach string
 
-	// served is the rotation-GC satisfaction record riding on the token, a
-	// window over a backing shared with every message and node that has
-	// seen it (see served.go); curGrantSeq is the request sequence being
-	// served while in CS.
-	served      []ServedRec
-	curGrantSeq uint64
+	// Directed search cursor.
+	probeWindow int
+	probePos    int
+}
+
+// coldState returns the node's cold state for writing, allocating it on
+// first use.
+func (n *Node) coldState() *nodeCold {
+	if n.cold == nil {
+		n.cold = new(nodeCold)
+	}
+	return n.cold
 }
 
 // trapEntry is a stored token trap τ_requester. Ring positions are int32
@@ -94,31 +133,35 @@ type trapEntry struct {
 	from      int32 // previous hop of the search trail (inverse GC)
 }
 
-// trapIndex maps a requester id to its absolute index in Node.traps.
-// Normal rings get a dense array — the per-hop lookups on the search path
-// are then pure indexing — while huge rings (the fig9big 10^5-node sweeps)
-// fall back to a map so per-node memory stays proportional to the traps
-// actually stored. The map is int32-keyed and int32-valued: halving the
-// entry payload roughly halves the bucket memory, which the heap profile
-// had at ~450 MB across a big LinearSearch point. Allocated lazily on the
-// first stored trap.
+// trapIndex maps a requester id to its absolute index in Node.traps, for
+// tables too long to scan. Rings up to denseTrapIndex nodes get a dense
+// array — lookups are then pure indexing — while larger rings fall back to
+// a map so per-node memory stays proportional to the traps stored; only a
+// saturated LinearSearch table on such a ring ever builds the map, a
+// BinarySearch request leaves one or two traps per node it touches. The
+// map is int32-keyed and int32-valued: halving the entry payload roughly
+// halves the bucket memory. A nil *trapIndex is the index of a table that
+// is still scanned: set and del do nothing.
 type trapIndex struct {
 	dense  []int32 // requester -> index+1; 0 = absent
 	sparse map[int32]int32
 }
 
 // denseTrapIndex is the largest ring size indexed with a dense array
-// (16 KiB per trap-bearing node).
+// (16 KiB per indexed node).
 const denseTrapIndex = 4096
 
-func (x *trapIndex) ready() bool { return x.dense != nil || x.sparse != nil }
-
-func (x *trapIndex) init(n int) {
+// newTrapIndex indexes the live window traps[head:] of a table on a ring of
+// n nodes.
+func newTrapIndex(n int, traps []trapEntry, head int) *trapIndex {
+	x := new(trapIndex)
 	if n <= denseTrapIndex {
 		x.dense = make([]int32, n)
 	} else {
-		x.sparse = make(map[int32]int32)
+		x.sparse = make(map[int32]int32, len(traps)-head)
 	}
+	x.renumber(traps, head)
+	return x
 }
 
 func (x *trapIndex) get(requester int) (int, bool) {
@@ -134,21 +177,35 @@ func (x *trapIndex) get(requester int) (int, bool) {
 }
 
 func (x *trapIndex) set(requester, i int) {
-	if x.dense != nil {
+	switch {
+	case x == nil:
+	case x.dense != nil:
 		x.dense[requester] = int32(i) + 1
+	default:
+		x.sparse[int32(requester)] = int32(i)
+	}
+}
+
+// renumber records where traps[from:] now lie, after entries moved.
+func (x *trapIndex) renumber(traps []trapEntry, from int) {
+	if x == nil {
 		return
 	}
-	x.sparse[int32(requester)] = int32(i)
+	for i := from; i < len(traps); i++ {
+		x.set(int(traps[i].requester), i)
+	}
 }
 
 func (x *trapIndex) del(requester int) {
-	if x.dense != nil {
+	switch {
+	case x == nil:
+	case x.dense != nil:
 		if requester >= 0 && requester < len(x.dense) {
 			x.dense[requester] = 0
 		}
-		return
+	default:
+		delete(x.sparse, int32(requester))
 	}
-	delete(x.sparse, int32(requester))
 }
 
 // New returns a node with the given ring position, owning a private copy
@@ -173,21 +230,19 @@ func (n *Node) Init(id int, cfg *Config) error {
 	if id < 0 || id >= cfg.N {
 		return fmt.Errorf("protocol: node id %d outside ring of %d", id, cfg.N)
 	}
-	rg, err := ring.New(cfg.N)
-	if err != nil {
-		return err
+	if cfg.N > math.MaxInt32 {
+		return fmt.Errorf("protocol: ring size %d beyond int32 positions", cfg.N)
 	}
 	*n = Node{
 		cfg:      cfg,
-		id:       id,
-		rg:       rg,
+		id:       int32(id),
 		returnTo: None,
 	}
 	return nil
 }
 
 // ID returns the node's ring position.
-func (n *Node) ID() int { return n.id }
+func (n *Node) ID() int { return int(n.id) }
 
 // HasToken reports whether the node currently holds the token (including
 // while granted to the application).
@@ -207,7 +262,7 @@ func (n *Node) Round() uint64 { return n.round }
 func (n *Node) LastSeen() uint64 { return n.lastSeen }
 
 // TrapCount returns the number of stored traps.
-func (n *Node) TrapCount() int { return len(n.traps) - n.trapHead }
+func (n *Node) TrapCount() int { return len(n.traps) - int(n.trapHead) }
 
 // Epoch returns the token epoch as known to this node.
 func (n *Node) Epoch() uint64 { return n.epoch }
@@ -217,7 +272,7 @@ func (n *Node) Epoch() uint64 { return n.epoch }
 func (n *Node) DecoratedHold() bool { return n.returnTo != None }
 
 // RecoveryActive reports whether a token-loss probe round is in flight.
-func (n *Node) RecoveryActive() bool { return n.recovery.active }
+func (n *Node) RecoveryActive() bool { return n.probing() != nil }
 
 // TrapRequesters appends the requester ids of the stored traps, FIFO.
 func (n *Node) TrapRequesters(dst []int) []int {
@@ -242,12 +297,19 @@ type Stats struct {
 	Epoch    uint64
 	Traps    int
 	Served   int
+	// TrapIndexed reports that the trap table has outgrown a scan and
+	// carries its requester index; Cold that the node has allocated its
+	// cold state (a view, a recovery round, an attachment or a directed
+	// search has written it). A fault-free BinarySearch ring keeps both
+	// false at every node.
+	TrapIndexed bool
+	Cold        bool
 }
 
 // Stats returns a diagnostic snapshot.
 func (n *Node) Stats() Stats {
 	return Stats{
-		ID:       n.id,
+		ID:       n.ID(),
 		Variant:  n.cfg.Variant.String(),
 		HasToken: n.hasToken,
 		InCS:     n.inCS,
@@ -257,6 +319,9 @@ func (n *Node) Stats() Stats {
 		Epoch:    n.epoch,
 		Traps:    n.TrapCount(),
 		Served:   len(n.served),
+
+		TrapIndexed: n.trapAt != nil,
+		Cold:        n.cold != nil,
 	}
 }
 
@@ -277,7 +342,12 @@ func (s Stats) String() string {
 
 // Attachment returns the token's application attachment; meaningful only
 // while the node holds the token.
-func (n *Node) Attachment() string { return n.attach }
+func (n *Node) Attachment() string {
+	if n.cold == nil {
+		return ""
+	}
+	return n.cold.attach
+}
 
 // SetAttachment replaces the token's application attachment. It fails
 // unless the node currently holds the token.
@@ -285,8 +355,19 @@ func (n *Node) SetAttachment(s string) error {
 	if !n.hasToken {
 		return fmt.Errorf("protocol: node %d does not hold the token", n.id)
 	}
-	n.attach = s
+	n.setAttach(s)
 	return nil
+}
+
+// setAttach stores the token's attachment. Every token arrival comes through
+// here, on most rings with the empty attachment of a token no application
+// has written to: a node without cold state already reads as holding that,
+// and must not allocate the cold state to store it.
+func (n *Node) setAttach(s string) {
+	if s == "" && n.cold == nil {
+		return
+	}
+	n.coldState().attach = s
 }
 
 // GiveToken bootstraps this node as the initial token holder.
@@ -334,10 +415,10 @@ func (n *Node) Release(now Time) Effects {
 		return e
 	}
 	n.inCS = false
-	n.recordServed(n.id, n.curGrantSeq)
+	n.recordServed(n.ID(), n.curGrantSeq)
 	if n.returnTo != None {
 		// Rule 8: return the used token to its interceptor.
-		dst := n.returnTo
+		dst := int(n.returnTo)
 		n.returnTo = None
 		n.hasToken = false
 		n.sendToken(&e, MsgToken, dst)
@@ -458,7 +539,7 @@ func (n *Node) handleToken(now Time, m *Message, e *Effects) {
 	n.hasToken = true
 	n.returnTo = None
 	n.round = m.Round
-	n.attach = m.Attach
+	n.setAttach(m.Attach)
 	if m.Round > n.lastSeen {
 		n.lastSeen = m.Round
 	}
@@ -531,7 +612,7 @@ func (n *Node) passToken(_ Time, e *Effects) {
 	n.hasToken = false
 	n.holdGen++
 	n.pushGen++
-	n.sendToken(e, MsgToken, n.nextLive(n.id))
+	n.sendToken(e, MsgToken, n.nextLive(n.ID()))
 }
 
 // send starts a message of the given kind from this node to dst, in place in
@@ -539,7 +620,7 @@ func (n *Node) passToken(_ Time, e *Effects) {
 func (n *Node) send(e *Effects, kind MsgKind, dst int) *Message {
 	m := e.add()
 	m.Kind = kind
-	m.From = n.id
+	m.From = n.ID()
 	m.To = dst
 	return m
 }
@@ -551,7 +632,7 @@ func (n *Node) sendToken(e *Effects, kind MsgKind, dst int) *Message {
 	m := n.send(e, kind, dst)
 	m.Round = n.round
 	m.Epoch = n.epoch
-	m.Attach = n.attach
+	m.Attach = n.Attachment()
 	m.Served = n.servedSnapshot()
 	return m
 }
@@ -567,13 +648,13 @@ func (n *Node) deliverNext(_ Time, e *Effects) bool {
 	n.holdGen++
 	n.pushGen++
 	to := int(tr.requester)
-	if n.cfg.TrapGC == GCInverse && tr.from != tr.requester && int(tr.from) != n.id && int(tr.from) != None && n.member(int(tr.from)) {
+	if n.cfg.TrapGC == GCInverse && tr.from != tr.requester && tr.from != n.id && tr.from != None && n.member(int(tr.from)) {
 		// Inverse clean-up: trace the search trail backwards,
 		// removing traps en route (skipped if the trail hop departed).
 		to = int(tr.from)
 	}
 	m := n.sendToken(e, MsgTokenReturn, to)
-	m.ReturnTo = n.id
+	m.ReturnTo = n.ID()
 	m.Requester = int(tr.requester)
 	m.ReqSeq = tr.reqSeq
 	return true
@@ -588,12 +669,12 @@ func (n *Node) handleTokenReturn(now Time, m *Message, e *Effects) {
 	if m.Round > n.lastSeen {
 		n.lastSeen = m.Round
 	}
-	if m.Requester != n.id {
+	if m.Requester != n.ID() {
 		// Inverse-GC routing hop: drop the local trap for this
 		// requester and forward along the trail.
 		next := m.Requester
 		if tr, ok := n.removeTrap(m.Requester); ok {
-			if int(tr.from) != m.Requester && int(tr.from) != n.id && int(tr.from) != None {
+			if int(tr.from) != m.Requester && tr.from != n.id && tr.from != None {
 				next = int(tr.from)
 			}
 		}
@@ -612,7 +693,7 @@ func (n *Node) handleTokenReturn(now Time, m *Message, e *Effects) {
 		}
 		fwd := e.add()
 		*fwd = *m
-		fwd.From = n.id
+		fwd.From = n.ID()
 		fwd.To = next
 		fwd.Hops = m.Hops + 1
 		return
@@ -624,9 +705,9 @@ func (n *Node) handleTokenReturn(now Time, m *Message, e *Effects) {
 		n.curGrantSeq = n.reqSeq
 		n.inCS = true
 		n.hasToken = true
-		n.attach = m.Attach
+		n.setAttach(m.Attach)
 		n.adoptServed(m.Served)
-		n.returnTo = m.ReturnTo
+		n.returnTo = int32(m.ReturnTo)
 		if !n.member(m.ReturnTo) {
 			// The interceptor left while its grant was in flight: nobody
 			// is owed the return, so keep the token after use.
@@ -662,18 +743,47 @@ func (n *Node) adoptOrphanToken(now Time, m *Message, e *Effects) {
 	n.hasToken = true
 	n.returnTo = None
 	n.round = m.Round
-	n.attach = m.Attach
+	n.setAttach(m.Attach)
 	n.adoptServed(m.Served)
 	n.afterTokenIdle(now, e)
 }
 
+// trapScanMax is the live-trap count up to which a table is searched by
+// scanning traps[trapHead:]; the first table to hold more gets a requester
+// index, built once from the live window and kept from then on.
+// BenchmarkAddTrap times one addTrap on nodes that are cold in cache, as a
+// search finds them: a scan costs ~50 ns at one live trap and ~10 ns more per
+// entry (85-110 ns at 8, 100-130 at 9, ~0.7 µs at 64, ~2.4 µs at 512), a
+// lookup in the 4·N-byte dense index 80-160 ns and in the map 125-250 ns
+// whatever the table holds, so the sides cross near 10 traps on a small ring
+// and near 15 on a huge one, and 8 sits below both. What the figure leaves
+// out favours the scan further: an index-less node allocates nothing but the
+// table, where an index is 4·N bytes or a map — half of what a sim-big grant
+// allocated when every trap-bearing node had one.
+const trapScanMax = 8
+
+// findTrap returns the absolute index in n.traps of requester's live trap.
+func (n *Node) findTrap(requester int) (int, bool) {
+	if n.trapAt != nil {
+		return n.trapAt.get(requester)
+	}
+	for i := int(n.trapHead); i < len(n.traps); i++ {
+		if int(n.traps[i].requester) == requester {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
 // addTrap stores τ_requester, deduplicating by requester and respecting the
 // table bound. It reports whether the trap is stored (or already present).
+// The append that takes the table past trapScanMax — the crossover measured
+// there — builds its index.
 func (n *Node) addTrap(requester int, reqSeq uint64, from int, stamp uint64) bool {
-	if requester == n.id {
+	if requester == n.ID() {
 		return false
 	}
-	if i, ok := n.trapAt.get(requester); ok {
+	if i, ok := n.findTrap(requester); ok {
 		if reqSeq > n.traps[i].reqSeq {
 			n.traps[i].reqSeq = reqSeq
 			n.traps[i].from = int32(from)
@@ -684,9 +794,6 @@ func (n *Node) addTrap(requester int, reqSeq uint64, from int, stamp uint64) boo
 	if n.cfg.MaxTraps > 0 && n.TrapCount() >= n.cfg.MaxTraps {
 		return false
 	}
-	if !n.trapAt.ready() {
-		n.trapAt.init(n.cfg.N)
-	}
 	n.trapAt.set(requester, len(n.traps))
 	n.traps = append(n.traps, trapEntry{
 		requester: int32(requester),
@@ -694,6 +801,9 @@ func (n *Node) addTrap(requester int, reqSeq uint64, from int, stamp uint64) boo
 		from:      int32(from),
 		bornRound: n.freshRound(stamp),
 	})
+	if n.trapAt == nil && n.TrapCount() > trapScanMax {
+		n.trapAt = newTrapIndex(n.cfg.N, n.traps, int(n.trapHead))
+	}
 	return true
 }
 
@@ -711,11 +821,11 @@ func (n *Node) freshRound(stamp uint64) uint64 {
 func (n *Node) popTrap() (trapEntry, bool) {
 	n.ageTraps()
 	n.compactTraps()
-	for n.trapHead < len(n.traps) {
+	for int(n.trapHead) < len(n.traps) {
 		tr := n.traps[n.trapHead]
 		n.trapAt.del(int(tr.requester))
 		n.trapHead++
-		if n.trapHead == len(n.traps) {
+		if int(n.trapHead) == len(n.traps) {
 			n.traps = n.traps[:0]
 			n.trapHead = 0
 		}
@@ -730,20 +840,18 @@ func (n *Node) popTrap() (trapEntry, bool) {
 // compactTraps reclaims the popped prefix once it dominates the slice, so
 // the head cursor cannot strand unbounded capacity behind it.
 func (n *Node) compactTraps() {
-	if n.trapHead < 32 || n.trapHead < len(n.traps)-n.trapHead {
+	if n.trapHead < 32 || int(n.trapHead) < n.TrapCount() {
 		return
 	}
 	live := copy(n.traps, n.traps[n.trapHead:])
 	n.traps = n.traps[:live]
 	n.trapHead = 0
-	for i := range n.traps {
-		n.trapAt.set(int(n.traps[i].requester), i)
-	}
+	n.trapAt.renumber(n.traps, 0)
 }
 
 // removeTrap removes the trap for requester, if present.
 func (n *Node) removeTrap(requester int) (trapEntry, bool) {
-	i, ok := n.trapAt.get(requester)
+	i, ok := n.findTrap(requester)
 	if !ok {
 		return trapEntry{}, false
 	}
@@ -751,9 +859,7 @@ func (n *Node) removeTrap(requester int) (trapEntry, bool) {
 	n.trapAt.del(requester)
 	copy(n.traps[i:], n.traps[i+1:])
 	n.traps = n.traps[:len(n.traps)-1]
-	for j := i; j < len(n.traps); j++ {
-		n.trapAt.set(int(n.traps[j].requester), j)
-	}
+	n.trapAt.renumber(n.traps, i)
 	return tr, true
 }
 
@@ -797,7 +903,5 @@ func (n *Node) sweepTraps(keep func(trapEntry) bool) {
 	}
 	n.traps = live
 	n.trapHead = 0
-	for i := range n.traps {
-		n.trapAt.set(int(n.traps[i].requester), i)
-	}
+	n.trapAt.renumber(n.traps, 0)
 }

@@ -48,6 +48,14 @@ type recoveryState struct {
 	probeSeenAt Time
 }
 
+// probing returns the probe round in flight, or nil.
+func (n *Node) probing() *recoveryState {
+	if c := n.cold; c != nil && c.recovery.active {
+		return &c.recovery
+	}
+	return nil
+}
+
 // armRecovery arms the token-loss timer for the current request, when
 // enabled.
 func (n *Node) armRecovery(e *Effects) {
@@ -62,9 +70,9 @@ func (n *Node) handleRecoveryTimer(now Time, gen uint64, e *Effects) {
 	if !n.pending || gen != n.reqSeq || n.hasToken {
 		return
 	}
-	n.recovery = recoveryState{active: true, gen: gen, maxStamp: n.lastSeen, maxEpoch: n.epoch}
+	n.coldState().recovery = recoveryState{active: true, gen: gen, maxStamp: n.lastSeen, maxEpoch: n.epoch}
 	for i := 0; i < n.cfg.N; i++ {
-		if i == n.id || !n.member(i) {
+		if i == n.ID() || !n.member(i) {
 			continue
 		}
 		m := n.send(e, MsgRecoveryProbe, i)
@@ -91,29 +99,31 @@ func (n *Node) handleRecoveryProbe(_ Time, m *Message, e *Effects) {
 // handleRecoveryReply accumulates probe answers.
 func (n *Node) handleRecoveryReply(_ Time, m *Message, _ *Effects) {
 	n.adoptEpoch(m.Epoch)
-	if !n.recovery.active {
+	r := n.probing()
+	if r == nil {
 		return
 	}
-	n.recovery.replies++
+	r.replies++
 	if m.HasToken {
-		n.recovery.holderSeen = true
+		r.holderSeen = true
 	}
-	if m.Round > n.recovery.maxStamp {
-		n.recovery.maxStamp = m.Round
+	if m.Round > r.maxStamp {
+		r.maxStamp = m.Round
 	}
-	if m.Epoch > n.recovery.maxEpoch {
-		n.recovery.maxEpoch = m.Epoch
+	if m.Epoch > r.maxEpoch {
+		r.maxEpoch = m.Epoch
 	}
 }
 
 // handleRecoveryDecide closes the probe round: regenerate the token unless
 // some reply claimed it (or it arrived here meanwhile).
 func (n *Node) handleRecoveryDecide(now Time, gen uint64, e *Effects) {
-	if !n.recovery.active || n.recovery.gen != gen {
+	r := n.probing()
+	if r == nil || r.gen != gen {
 		return
 	}
-	st := n.recovery
-	n.recovery = recoveryState{}
+	st := *r
+	*r = recoveryState{}
 	if !n.pending || n.hasToken {
 		return
 	}
@@ -124,7 +134,7 @@ func (n *Node) handleRecoveryDecide(now Time, gen uint64, e *Effects) {
 		return
 	}
 	coord := n.liveMin()
-	if n.cfg.BuggyElection || coord == n.id {
+	if n.cfg.BuggyElection || coord == n.ID() {
 		// BuggyElection is the planted pre-election race: every decider
 		// mints locally, so two concurrent deciders mint two same-epoch
 		// tokens. The fixed protocol funnels every mint through the
@@ -137,7 +147,7 @@ func (n *Node) handleRecoveryDecide(now Time, gen uint64, e *Effects) {
 	// epoch). Re-arm suspicion in case the coordinator itself is gone —
 	// the next probe round runs over the repaired view.
 	m := n.send(e, MsgElect, coord)
-	m.Requester = n.id
+	m.Requester = n.ID()
 	m.Round = st.maxStamp
 	m.Epoch = st.maxEpoch
 	n.armRecovery(e)

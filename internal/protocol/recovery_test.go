@@ -63,8 +63,8 @@ func decideNoHolder(t *testing.T, n *Node) Effects {
 		}
 	}
 	// Replies from two peers, none holding, stamps up to 9.
-	n.HandleMessage(110, Message{Kind: MsgRecoveryReply, From: 0, To: n.id, Round: 9, Epoch: 0})
-	n.HandleMessage(111, Message{Kind: MsgRecoveryReply, From: 1, To: n.id, Round: 4, Epoch: 0})
+	n.HandleMessage(110, Message{Kind: MsgRecoveryReply, From: 0, To: n.ID(), Round: 9, Epoch: 0})
+	n.HandleMessage(111, Message{Kind: MsgRecoveryReply, From: 1, To: n.ID(), Round: 4, Epoch: 0})
 	return n.HandleTimer(150, TimerRecoveryDecide, decideGen)
 }
 
@@ -233,7 +233,7 @@ func TestRecoveryDecideStaleGenIgnored(t *testing.T) {
 	// Replies outside an active round are ignored too.
 	n2 := newNode(t, 2, recConfig(4))
 	n2.HandleMessage(1, Message{Kind: MsgRecoveryReply, From: 0, To: 2, Round: 3})
-	if n2.recovery.active {
+	if n2.RecoveryActive() {
 		t.Error("reply must not start a round")
 	}
 }

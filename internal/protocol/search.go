@@ -14,16 +14,17 @@ func (n *Node) issueSearch(_ Time, e *Effects) {
 		// System Search under the Lemma 5 restriction: the gimme
 		// crawls the ring one hop at a time; it expires after a full
 		// circle (of the live view).
-		n.sendSearch(e, MsgSearch, n.nextLive(n.id), n.liveCount()-1)
+		n.sendSearch(e, MsgSearch, n.nextLive(n.ID()), n.liveCount()-1)
 	case BinarySearch, Combined:
 		// Rule 5: gimme to the node directly across the (live) ring,
 		// carrying the requester's circulation view.
-		n.sendSearch(e, MsgSearch, n.acrossLive(n.id), n.halfLive())
+		n.sendSearch(e, MsgSearch, n.acrossLive(n.ID()), n.halfLive())
 	case DirectedSearch:
 		// Probe the node across the ring; replies steer us.
-		n.probeWindow = n.halfLive()
-		n.probePos = n.acrossLive(n.id)
-		n.sendSearch(e, MsgProbe, n.probePos, 0)
+		c := n.coldState()
+		c.probeWindow = n.halfLive()
+		c.probePos = n.acrossLive(n.ID())
+		n.sendSearch(e, MsgProbe, c.probePos, 0)
 	}
 	if n.cfg.ResearchTimeout > 0 && n.cfg.Variant != RingToken {
 		e.arm(n.cfg.ResearchTimeout, TimerResearch, n.reqSeq)
@@ -36,7 +37,7 @@ func (n *Node) sendSearch(e *Effects, kind MsgKind, to, window int) {
 	m := n.send(e, kind, to)
 	m.Window = window
 	m.OriginStamp = n.lastSeen
-	m.Requester = n.id
+	m.Requester = n.ID()
 	m.ReqSeq = n.reqSeq
 }
 
@@ -63,13 +64,13 @@ func (n *Node) forwardSearch(m *Message, e *Effects) {
 		if m.Window <= 1 {
 			return // full circle: expire
 		}
-		next := n.nextLive(n.id)
+		next := n.nextLive(n.ID())
 		if next == m.Requester {
 			return
 		}
 		fwd := e.add()
 		*fwd = *m
-		fwd.From = n.id
+		fwd.From = n.ID()
 		fwd.To = next
 		fwd.Window = m.Window - 1
 		fwd.Hops = m.Hops + 1
@@ -78,16 +79,16 @@ func (n *Node) forwardSearch(m *Message, e *Effects) {
 			return // window exhausted: the trap alone remains
 		}
 		hop := m.Window / 2
-		dest := n.succLive(n.id, hop)
+		dest := n.succLive(n.ID(), hop)
 		if n.lastSeen < m.OriginStamp {
 			// My circulation view is a strict ⊂_C prefix of the
 			// requester's: the token passed the requester after
 			// me — chase it the other way (rule 6's x^{-n/2}).
-			dest = n.succLive(n.id, -hop)
+			dest = n.succLive(n.ID(), -hop)
 		}
 		fwd := e.add()
 		*fwd = *m
-		fwd.From = n.id
+		fwd.From = n.ID()
 		fwd.To = dest
 		fwd.Window = hop
 		fwd.Hops = m.Hops + 1
@@ -120,16 +121,17 @@ func (n *Node) handleProbeReply(_ Time, m *Message, e *Effects) {
 	if !n.pending || m.ReqSeq != n.reqSeq || m.HasToken {
 		return // served, stale, or the token is on its way
 	}
-	if n.probeWindow < 2 {
+	c := n.cold
+	if c == nil || c.probeWindow < 2 {
 		return // probing exhausted; rely on the traps we planted
 	}
-	hop := n.probeWindow / 2
-	dest := n.succLive(n.probePos, hop)
+	hop := c.probeWindow / 2
+	dest := n.succLive(c.probePos, hop)
 	if m.Round < n.lastSeen {
-		dest = n.succLive(n.probePos, -hop)
+		dest = n.succLive(c.probePos, -hop)
 	}
-	n.probeWindow = hop
-	n.probePos = dest
+	c.probeWindow = hop
+	c.probePos = dest
 	n.sendSearch(e, MsgProbe, dest, 0)
 }
 
@@ -139,17 +141,17 @@ func (n *Node) handleProbeReply(_ Time, m *Message, e *Effects) {
 func (n *Node) startPushRound(_ Time, e *Effects) {
 	n.pushGen++
 	sent := 0
-	seen := map[int]bool{n.id: true}
+	seen := map[int]bool{n.ID(): true}
 	for w := n.halfLive(); w >= 1; w /= 2 {
 		if n.cfg.PushFanout > 0 && sent >= n.cfg.PushFanout {
 			break
 		}
-		dst := n.succLive(n.id, w)
+		dst := n.succLive(n.ID(), w)
 		if seen[dst] {
 			continue
 		}
 		seen[dst] = true
-		n.send(e, MsgWantQuery, dst).Requester = n.id
+		n.send(e, MsgWantQuery, dst).Requester = n.ID()
 		sent++
 	}
 	wait := n.cfg.PushWait
@@ -162,7 +164,7 @@ func (n *Node) startPushRound(_ Time, e *Effects) {
 // handleWantQuery answers a push probe.
 func (n *Node) handleWantQuery(_ Time, m *Message, e *Effects) {
 	reply := n.send(e, MsgWantReply, m.From)
-	reply.Requester = n.id
+	reply.Requester = n.ID()
 	reply.ReqSeq = n.reqSeq
 	reply.Want = n.pending
 }

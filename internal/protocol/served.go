@@ -125,7 +125,9 @@ func (n *Node) recordServed(requester int, reqSeq uint64) {
 }
 
 // servedSweepByTrap is the live-trap count up to which adoptServed scans the
-// record once per trap instead of probing the trap index once per record.
+// record once per trap instead of probing the trap index once per record; a
+// table that has no index yet (at most trapScanMax traps so far) is always
+// swept by trap.
 // BenchmarkAdoptServed times both sides: a scan of a 512-entry record is
 // ~0.26 µs a trap, 512 probes ~0.8 µs of a dense index and 2-4 µs of a map,
 // so the sides cross between 3 and 4 traps on small rings and near 12 on
@@ -150,7 +152,7 @@ func (n *Node) adoptServed(recs []ServedRec) {
 		return
 	}
 	var dropped bool
-	if live <= servedSweepByTrap {
+	if live <= servedSweepByTrap || n.trapAt == nil {
 		dropped = n.markServedByTrap(recs)
 	} else {
 		dropped = n.markServedByRec(recs)
@@ -176,9 +178,9 @@ func (n *Node) markServedByTrap(recs []ServedRec) (dropped bool) {
 }
 
 // markServedByRec marks the same traps from the other side: each rec looks
-// its requester up in the O(1) trap index, one probe per record however many
-// traps are stored (a map access above denseTrapIndex nodes, a likely cache
-// miss in a 16 KiB array below).
+// its requester up in the trap index, which the caller has checked exists:
+// one probe per record however many traps are stored (a map access above
+// denseTrapIndex nodes, a likely cache miss in a 16 KiB array below).
 func (n *Node) markServedByRec(recs []ServedRec) (dropped bool) {
 	for _, rec := range recs {
 		if i, ok := n.trapAt.get(rec.Requester); ok && rec.ReqSeq >= n.traps[i].reqSeq {

@@ -454,6 +454,10 @@ func BenchmarkAdoptServed(b *testing.B) {
 				for k := 0; k < traps; k++ {
 					nodes[i].addTrap((i+1+k*29)%n, 2, 0, 0)
 				}
+				// byRec needs the index a table this small does not build.
+				if nd := &nodes[i]; nd.trapAt == nil {
+					nd.trapAt = newTrapIndex(n, nd.traps, 0)
+				}
 			}
 			for _, side := range []struct {
 				name  string

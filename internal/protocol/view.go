@@ -34,20 +34,21 @@ func (n *Node) ApplyView(now Time, u ViewUpdate) Effects {
 
 // ApplyViewInto is ApplyView appending into a caller-owned Effects.
 func (n *Node) ApplyViewInto(now Time, u ViewUpdate, e *Effects) {
-	if n.live.Len() != 0 && u.Epoch <= n.viewEpoch {
+	c := n.coldState()
+	if c.live.Len() != 0 && u.Epoch <= c.viewEpoch {
 		return // stale or duplicate view
 	}
-	if n.live.Len() == 0 {
-		n.live = bitset.New(n.cfg.N)
+	if c.live.Len() == 0 {
+		c.live = bitset.New(n.cfg.N)
 	} else {
-		n.live.ClearAll()
+		c.live.ClearAll()
 	}
 	for _, m := range u.Members {
 		if m >= 0 && m < n.cfg.N {
-			n.live.Set(m)
+			c.live.Set(m)
 		}
 	}
-	n.viewEpoch = u.Epoch
+	c.viewEpoch = u.Epoch
 	if u.SyncStamp > n.lastSeen {
 		n.lastSeen = u.SyncStamp
 	}
@@ -56,15 +57,15 @@ func (n *Node) ApplyViewInto(now Time, u ViewUpdate, e *Effects) {
 	// Departed members can never use a grant or accept a return: drop
 	// their traps and forget a return address pointing at them.
 	n.sweepTraps(func(tr trapEntry) bool { return n.member(int(tr.requester)) })
-	if n.returnTo != None && !n.member(n.returnTo) {
+	if n.returnTo != None && !n.member(int(n.returnTo)) {
 		n.returnTo = None
 	}
 
 	// A probe round in flight counted nodes that may just have left (or
 	// missed ones that joined): abort it and re-arm the suspicion timer
 	// so the decision is taken over the new view.
-	if n.recovery.active {
-		n.recovery = recoveryState{}
+	if c.recovery.active {
+		c.recovery = recoveryState{}
 		if n.pending && !n.hasToken {
 			n.armRecovery(e)
 		}
@@ -74,32 +75,62 @@ func (n *Node) ApplyViewInto(now Time, u ViewUpdate, e *Effects) {
 
 // ViewEpoch returns the epoch of the node's current membership view (0
 // until a view is applied).
-func (n *Node) ViewEpoch() uint64 { return n.viewEpoch }
+func (n *Node) ViewEpoch() uint64 {
+	if n.cold == nil {
+		return 0
+	}
+	return n.cold.viewEpoch
+}
+
+// view returns the live set of the membership view in force, or nil while
+// the node routes over the full ring (no view applied yet).
+func (n *Node) view() *bitset.Set {
+	if c := n.cold; c != nil && c.live.Len() != 0 {
+		return &c.live
+	}
+	return nil
+}
+
+// succ is ring.Ring.Succ over this node's ring — the k-th successor of id,
+// k of either sign — without a ring.Ring (a copy of cfg.N) in every node.
+func (n *Node) succ(id, k int) int {
+	m := id + k
+	if uint(m) < uint(n.cfg.N) {
+		return m // no wrap, no division: all but one hop of a rotation
+	}
+	m %= n.cfg.N
+	if m < 0 {
+		m += n.cfg.N
+	}
+	return m
+}
 
 // member reports whether a ring position is in the live view (every
 // position is, before any view is applied). Out-of-range positions read as
 // non-members under a view (bitset.Get is range-checked).
 func (n *Node) member(id int) bool {
-	return n.live.Len() == 0 || n.live.Get(id)
+	v := n.view()
+	return v == nil || v.Get(id)
 }
 
 // liveCount returns the number of live members (N before any view).
 func (n *Node) liveCount() int {
-	if n.live.Len() == 0 {
-		return n.cfg.N
+	if v := n.view(); v != nil {
+		return v.Count()
 	}
-	return n.live.Count()
+	return n.cfg.N
 }
 
 // nextLive returns the first live successor of id (id itself if the view
 // has collapsed to one member).
 func (n *Node) nextLive(id int) int {
-	if n.live.Len() == 0 {
-		return n.rg.Next(id)
+	v := n.view()
+	if v == nil {
+		return n.succ(id, 1)
 	}
 	for k := 1; k <= n.cfg.N; k++ {
-		c := n.rg.Succ(id, k)
-		if n.live.Get(c) {
+		c := n.succ(id, k)
+		if v.Get(c) {
 			return c
 		}
 	}
@@ -109,10 +140,11 @@ func (n *Node) nextLive(id int) int {
 // succLive returns the k-th live successor of id (negative k walks
 // predecessors), the live-ring analogue of ring.Succ.
 func (n *Node) succLive(id, k int) int {
-	if n.live.Len() == 0 {
-		return n.rg.Succ(id, k)
+	v := n.view()
+	if v == nil {
+		return n.succ(id, k)
 	}
-	if !n.live.Any() {
+	if !v.Any() {
 		return id
 	}
 	step := 1
@@ -122,8 +154,8 @@ func (n *Node) succLive(id, k int) int {
 	cur := id
 	for hopped := 0; hopped < k; hopped++ {
 		for j := 1; j <= n.cfg.N; j++ {
-			c := n.rg.Succ(cur, step*j)
-			if n.live.Get(c) {
+			c := n.succ(cur, step*j)
+			if v.Get(c) {
 				cur = c
 				break
 			}
@@ -137,21 +169,17 @@ func (n *Node) halfLive() int { return (n.liveCount() + 1) / 2 }
 
 // acrossLive is ring.Across over the live ring: the live member halfway
 // around from id.
-func (n *Node) acrossLive(id int) int {
-	if n.live.Len() == 0 {
-		return n.rg.Across(id)
-	}
-	return n.succLive(id, n.halfLive())
-}
+func (n *Node) acrossLive(id int) int { return n.succLive(id, n.halfLive()) }
 
 // liveMin returns the lowest-numbered live member — the deterministic
 // regeneration coordinator of the current view.
 func (n *Node) liveMin() int {
-	if n.live.Len() == 0 {
+	v := n.view()
+	if v == nil {
 		return 0
 	}
-	if i := n.live.Next(0); i >= 0 {
+	if i := v.Next(0); i >= 0 {
 		return i
 	}
-	return n.id
+	return n.ID()
 }

@@ -39,6 +39,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"adaptivetoken/internal/protocol"
 )
@@ -206,6 +207,14 @@ func (e *Engine) alloc() (int32, *eventRec) {
 		idx = int32(len(e.recs) - 1)
 	}
 	return idx, &e.recs[idx]
+}
+
+// Reserve makes room in the slab for n more pending events, so a caller that
+// is about to schedule a known number — a whole workload's requests — pays
+// for one allocation of the right size instead of the slab doubling its way
+// there under it.
+func (e *Engine) Reserve(n int) {
+	e.recs = slices.Grow(e.recs, max(0, n-len(e.free)))
 }
 
 // schedule keys slab slot idx at time t in the active scheduler. Equal-time
