@@ -1,7 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -130,6 +132,30 @@ func TestRunAll(t *testing.T) {
 		if !strings.Contains(sb.String(), frag) {
 			t.Errorf("missing %q in -exp all output", frag)
 		}
+	}
+}
+
+// TestAllTablesGolden is the fence around the experiment harness: every
+// table of -exp all, rendered as aligned text at a fixed small scale, hashes
+// to the pinned digest, and the worker pool renders the same bytes as the
+// sequential oracle. CSV stays out of the digest on purpose: %g prints every
+// digit, so it would pin last-place float differences (FMA) that vary by
+// architecture, while %.2f does not.
+func TestAllTablesGolden(t *testing.T) {
+	const golden = "cce8aa723fb260bff5efd829d2bd4cf515cee84f20b59558e16417e332376e65"
+	args := []string{"-exp", "all", "-requests", "300", "-seed", "1", "-parallel"}
+	var seq, par strings.Builder
+	if err := run(append(args, "1"), &seq); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(seq.String()))); got != golden {
+		t.Errorf("-exp all renders sha256 %s, want %s:\n%s", got, golden, seq.String())
+	}
+	if err := run(append(args, "0"), &par); err != nil {
+		t.Fatal(err)
+	}
+	if par.String() != seq.String() {
+		t.Errorf("-parallel 0 diverges from -parallel 1:\n--- parallel 1\n%s\n--- parallel 0\n%s", seq.String(), par.String())
 	}
 }
 
