@@ -125,7 +125,9 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzShardRouter -fuzztime 10s ./internal/shard/
 	$(GO) test -run XXX -fuzz FuzzFrameCodec -fuzztime 10s ./internal/transport/
 
-check: build vet fmt test race
+# The full torture sweep rides along (~50 s; it exits 1 on any failing
+# scenario), so a red fence is a red build locally too, not only in CI.
+check: build vet fmt test race torture
 
 clean:
 	$(GO) clean ./...

@@ -1,7 +1,8 @@
-// Package adaptivetoken_test holds the repository-level benchmarks: one per
-// reproduced figure/table of the paper (regenerating the series each
-// iteration and reporting the headline numbers as custom metrics) and
-// micro-benchmarks of the protocol's hot paths.
+// Package adaptivetoken_test holds the repository-level benchmarks:
+// BenchmarkExperiment/<id>, one sub-benchmark per reproduced figure/table of
+// the paper (regenerating the series each iteration and reporting the
+// headline numbers as custom metrics), and micro-benchmarks of the
+// protocol's hot paths.
 //
 // Run with:
 //
@@ -26,134 +27,40 @@ func benchOpts() bench.Options {
 	return bench.Options{Seed: 1, Requests: 300, MaxTime: 3_000_000}
 }
 
-// reportLast extracts headline series values at the table's last point.
-func reportLast(b *testing.B, tbl bench.Table, series ...string) {
-	b.Helper()
-	if len(tbl.Points) == 0 {
-		b.Fatal("empty table")
-	}
-	last := tbl.Points[len(tbl.Points)-1]
-	for _, s := range series {
-		b.ReportMetric(last.Y[s], s)
-	}
-}
-
-// BenchmarkFigure9 regenerates Figure 9 (responsiveness vs n at fixed load)
-// and reports the n=1000 endpoints.
-func BenchmarkFigure9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := bench.Figure9(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportLast(b, tbl, "ring", "binsearch")
-		}
-	}
-}
-
-// BenchmarkFigure10 regenerates Figure 10 (responsiveness vs load at n=100)
-// and reports the light-load endpoints.
-func BenchmarkFigure10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := bench.Figure10(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportLast(b, tbl, "ring", "binsearch")
-		}
-	}
-}
-
-// BenchmarkAblationDirected regenerates the delegated-vs-directed table.
-func BenchmarkAblationDirected(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := bench.AblationDirected(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportLast(b, tbl, "delegated-cheap/req", "directed-cheap/req")
-		}
-	}
-}
-
-// BenchmarkAblationTrapGC regenerates the trap-GC comparison.
-func BenchmarkAblationTrapGC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := bench.AblationTrapGC(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportLast(b, tbl, "bounces/grant", "wait-mean")
-		}
-	}
-}
-
-// BenchmarkAblationSpeed regenerates the token-speed sweep.
-func BenchmarkAblationSpeed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := bench.AblationSpeed(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportLast(b, tbl, "token-msgs/req", "wait-mean")
-		}
-	}
-}
-
-// BenchmarkAblationPush regenerates the pull-vs-push comparison.
-func BenchmarkAblationPush(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := bench.AblationPush(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportLast(b, tbl, "pull-wait", "push-wait")
-		}
-	}
-}
-
-// BenchmarkAblationThrottle regenerates the gimme/token ratio table.
-func BenchmarkAblationThrottle(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := bench.AblationThrottle(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportLast(b, tbl, "ratio")
-		}
-	}
-}
-
-// BenchmarkFairness regenerates the Theorem 3 fairness table.
-func BenchmarkFairness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := bench.FairnessExperiment(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportLast(b, tbl, "max-by-one-mean", "log2(n)")
-		}
-	}
-}
-
-// BenchmarkSaturation regenerates the all-ready saturation table.
-func BenchmarkSaturation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := bench.Saturation(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportLast(b, tbl, "ring", "binsearch")
-		}
+// BenchmarkExperiment regenerates one table of the evaluation per iteration
+// and reports its headline series at the table's last point (Figure 9: the
+// n=1000 endpoints; Figure 10: the light-load endpoints).
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range []struct {
+		id     string
+		series []string
+	}{
+		{"fig9", []string{"ring", "binsearch"}},
+		{"fig10", []string{"ring", "binsearch"}},
+		{"directed", []string{"delegated-cheap/req", "directed-cheap/req"}},
+		{"trapgc", []string{"bounces/grant", "wait-mean"}},
+		{"speed", []string{"token-msgs/req", "wait-mean"}},
+		{"push", []string{"pull-wait", "push-wait"}},
+		{"throttle", []string{"ratio"}},
+		{"fairness", []string{"max-by-one-mean", "log2(n)"}},
+		{"saturation", []string{"ring", "binsearch"}},
+	} {
+		b.Run(e.id, func(b *testing.B) {
+			var tbl bench.Table
+			for i := 0; i < b.N; i++ {
+				var err error
+				if tbl, err = bench.Run(e.id, benchOpts()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if len(tbl.Points) == 0 {
+				b.Fatal("empty table")
+			}
+			last := tbl.Points[len(tbl.Points)-1]
+			for _, s := range e.series {
+				b.ReportMetric(last.Y[s], s)
+			}
+		})
 	}
 }
 

@@ -92,22 +92,12 @@ func run(args []string, out io.Writer) error {
 		opts = bench.PaperOptions()
 	}
 	opts.Seed = *seed
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			opts.SeedSet = true // an explicit -seed 0 stays 0
-		}
-	})
 	if *requests > 0 {
 		opts.Requests = *requests
 		opts.MaxTime = sim.Time(*requests) * 10_000
 	}
 	opts.Parallelism = *parallel
 	opts.Nodes = *nodes
-	if *exp == "fig9big" {
-		// Three 10⁵–10⁶-node rings alive at once would triple the peak
-		// heap; the scaling sweep runs its points one at a time.
-		opts.Parallelism = 1
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -146,12 +136,7 @@ func run(args []string, out io.Writer) error {
 // runTrace executes one traced run (internal/bench.TraceRun), writes the
 // Chrome/Perfetto timeline to path and prints the run's digest.
 func runTrace(path string, opts bench.Options, out io.Writer) error {
-	topts := bench.TraceOptions{
-		Seed:     opts.Seed,
-		Requests: opts.Requests,
-		MaxTime:  opts.MaxTime,
-	}
-	res, tr, err := bench.TraceRun(topts)
+	res, tr, err := bench.TraceRun(opts)
 	if err != nil {
 		return err
 	}
@@ -159,19 +144,19 @@ func runTrace(path string, opts bench.Options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := topts.WriteTrace(f, tr); err != nil {
+	if err := tr.WriteChromeTrace(f, res.N); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	sum := topts.Summarize(res, tr)
+	st := tr.Stats()
 	fmt.Fprintf(out, "trace: %s n=%d, %d requests, %d grants, responsiveness mean %.2f p99 %.2f\n",
-		sum.Variant, sum.N, res.Issued, res.Grants,
+		res.Variant, res.N, res.Issued, res.Grants,
 		res.Responsiveness.Mean, res.Responsiveness.P99)
 	fmt.Fprintf(out, "trace: %d records (%d dropped), %d series points -> %s (load in https://ui.perfetto.dev)\n",
-		sum.Records, sum.DroppedRecords, len(sum.Series), path)
+		st.Total, st.Dropped, len(tr.Series()), path)
 	return nil
 }
 
@@ -201,11 +186,7 @@ func render(exp string, opts bench.Options, csv bool, out io.Writer) error {
 		}
 		return nil
 	}
-	fn, ok := bench.Lookup(exp)
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (use -list)", exp)
-	}
-	tbl, err := fn(opts)
+	tbl, err := bench.Run(exp, opts)
 	if err != nil {
 		return err
 	}

@@ -47,7 +47,7 @@ func allocSlice(tb testing.TB) (events, bytes, mallocs int64) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := opts.runner().RunJobs(opts, jobs); err != nil {
+	if _, err := runJobs(opts, jobs); err != nil {
 		tb.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -16,7 +16,7 @@ func benchScale(parallelism int) Options {
 func BenchmarkFigure9Sequential(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure9(benchScale(1)); err != nil {
+		if _, err := Run("fig9", benchScale(1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -29,7 +29,7 @@ func BenchmarkFigure9Parallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure9(benchScale(0)); err != nil {
+		if _, err := Run("fig9", benchScale(0)); err != nil {
 			b.Fatal(err)
 		}
 	}

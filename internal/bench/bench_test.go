@@ -31,7 +31,7 @@ func y(t *testing.T, tbl Table, x float64, series string) float64 {
 // the ring's responsiveness approaches the request gap while BinarySearch
 // stays within the log-n band and wins at scale.
 func TestFigure9Shape(t *testing.T) {
-	tbl, err := Figure9(quick())
+	tbl, err := Run("fig9", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFigure9Shape(t *testing.T) {
 // match under saturation; as load lightens the ring degrades toward n/2
 // while BinarySearch converges to ≈ log n from below.
 func TestFigure10Shape(t *testing.T) {
-	tbl, err := Figure10(quick())
+	tbl, err := Run("fig10", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +90,12 @@ func TestFigure10Shape(t *testing.T) {
 // TestAblationTrapGCShape asserts the §4.4 cleanup story: rotation GC
 // eliminates nearly all vacuous deliveries relative to no GC.
 func TestAblationTrapGCShape(t *testing.T) {
-	tbl, err := AblationTrapGC(quick())
+	tbl, err := Run("trapgc", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log("\n" + tbl.Format())
-	labels := GCModeLabels()
-	if len(tbl.Points) != len(labels) || labels[1] != "rotation" {
+	if len(tbl.Points) != 3 { // none, rotation, inverse
 		t.Fatalf("unexpected table shape")
 	}
 	none := tbl.Points[0].Y["bounces/grant"]
@@ -113,7 +112,7 @@ func TestAblationTrapGCShape(t *testing.T) {
 // TestAblationDirectedShape: directed search trades more cheap messages per
 // request while keeping waits comparable under light load.
 func TestAblationDirectedShape(t *testing.T) {
-	tbl, err := AblationDirected(quick())
+	tbl, err := Run("directed", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestAblationDirectedShape(t *testing.T) {
 // some waiting; the adaptive policy gets the traffic saving at a fraction
 // of the wait penalty.
 func TestAblationSpeedShape(t *testing.T) {
-	tbl, err := AblationSpeed(quick())
+	tbl, err := Run("speed", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,7 @@ func TestAblationSpeedShape(t *testing.T) {
 // TestAblationThrottleShape verifies the gimme/token ratio stays bounded
 // across loads (§4.4's one-outstanding-request argument).
 func TestAblationThrottleShape(t *testing.T) {
-	tbl, err := AblationThrottle(quick())
+	tbl, err := Run("throttle", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +163,7 @@ func TestAblationThrottleShape(t *testing.T) {
 
 // TestAblationPushRuns sanity-checks the push experiment end to end.
 func TestAblationPushRuns(t *testing.T) {
-	tbl, err := AblationPush(quick())
+	tbl, err := Run("push", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +181,7 @@ func TestAblationPushRuns(t *testing.T) {
 // TestFairnessShape: max possessions by one node while waiting stays within
 // a small multiple of log N.
 func TestFairnessShape(t *testing.T) {
-	tbl, err := FairnessExperiment(quick())
+	tbl, err := Run("fairness", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestFairnessShape(t *testing.T) {
 // TestSaturationShape: under all-ready saturation the hybrid tracks the
 // ring.
 func TestSaturationShape(t *testing.T) {
-	tbl, err := Saturation(quick())
+	tbl, err := Run("saturation", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,17 +229,17 @@ func TestTableRendering(t *testing.T) {
 
 func TestLookupAndIDs(t *testing.T) {
 	for _, id := range IDs() {
-		if _, ok := Lookup(id); !ok {
-			t.Errorf("Lookup(%q) failed", id)
+		if _, ok := lookup(id); !ok {
+			t.Errorf("lookup(%q) failed", id)
 		}
 	}
-	if _, ok := Lookup("nope"); ok {
+	if _, err := Run("nope", quick()); err == nil {
 		t.Error("unknown id must fail")
 	}
 }
 
-// TestAllCoversRegistry: All, Lookup and IDs walk one table, so All runs
-// exactly the listed ids minus fig9big (listed and resolvable, but too heavy
+// TestAllCoversRegistry: All, Run and IDs walk one table, so All runs
+// exactly the listed ids minus fig9big (listed and runnable, but too heavy
 // for a sweep).
 func TestAllCoversRegistry(t *testing.T) {
 	tables, err := All(Options{Seed: 1, Requests: 64, MaxTime: 640_000})
@@ -268,8 +267,11 @@ func TestAllCoversRegistry(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Seed == 0 || o.Requests == 0 || o.MaxTime == 0 {
+	if o.Requests == 0 || o.MaxTime == 0 {
 		t.Errorf("defaults not applied: %+v", o)
+	}
+	if o.Seed != 0 {
+		t.Errorf("seed rewritten to %d; it must be used as given", o.Seed)
 	}
 	p := PaperOptions()
 	if p.Requests < 10*DefaultOptions().Requests/2 {
@@ -281,18 +283,19 @@ func TestOptionsDefaults(t *testing.T) {
 // delivery delays — the claim does not depend on the constant-delay cost
 // model.
 func TestDelaySensitivityShape(t *testing.T) {
-	tbl, err := DelaySensitivity(quick())
+	tbl, err := Run("jitter", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log("\n" + tbl.Format())
-	if len(tbl.Points) != len(DelayModelLabels()) {
+	models := []string{"constant", "uniform", "exponential"}
+	if len(tbl.Points) != len(models) {
 		t.Fatalf("points = %d", len(tbl.Points))
 	}
 	for _, p := range tbl.Points {
 		if p.Y["binsearch-wait"]*3 > p.Y["ring-wait"] {
 			t.Errorf("model %s: binsearch (%.1f) should beat ring (%.1f) by ≥3x",
-				DelayModelLabels()[int(p.X)], p.Y["binsearch-wait"], p.Y["ring-wait"])
+				models[int(p.X)], p.Y["binsearch-wait"], p.Y["ring-wait"])
 		}
 	}
 }
@@ -301,7 +304,7 @@ func TestDelaySensitivityShape(t *testing.T) {
 // ring's p99 wait approaches N (a full rotation) while binsearch's stays
 // log-scale.
 func TestTailLatencyShape(t *testing.T) {
-	tbl, err := TailLatency(quick())
+	tbl, err := Run("tails", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +321,7 @@ func TestTailLatencyShape(t *testing.T) {
 // TestMessageCostShape is Lemma 6 as a curve: under light load the search
 // cost per request equals ⌈log₂n⌉ — the halving search never wastes a hop.
 func TestMessageCostShape(t *testing.T) {
-	tbl, err := MessageCost(Options{Seed: 1, Requests: 300, MaxTime: 50_000_000})
+	tbl, err := Run("msgcost", Options{Seed: 1, Requests: 300, MaxTime: 50_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}

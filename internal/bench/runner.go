@@ -11,7 +11,7 @@ import (
 	"adaptivetoken/internal/workload"
 )
 
-// Job is one simulation run submitted to a Runner. Every job owns its
+// Job is one simulation run submitted to runJobs. Every job owns its
 // configuration, workload generator and delay model, and every run builds a
 // private sim.Engine seeded from the experiment Options — jobs share no
 // mutable state, which is what makes fanning them across goroutines safe
@@ -33,26 +33,10 @@ type Job struct {
 	TrackFairness bool
 }
 
-// Runner fans independent simulation jobs across a worker pool and
-// reassembles results in submission order. Parallelism ≤ 0 means
-// runtime.GOMAXPROCS(0); Parallelism == 1 runs jobs inline on the calling
+// workers resolves the pool size for n jobs at parallelism p: p ≤ 0 means
+// runtime.GOMAXPROCS(0), and 1 runs the jobs inline on the calling
 // goroutine — the sequential oracle the equivalence tests compare against.
-//
-// Determinism: each job's result depends only on (Cfg, Gen, Delay, Options
-// seed/scale), never on scheduling, so any parallelism level produces
-// byte-identical experiment tables.
-type Runner struct {
-	// Parallelism is the worker-pool size (0 = GOMAXPROCS, 1 =
-	// sequential).
-	Parallelism int
-}
-
-// NewRunner returns a Runner with the given parallelism.
-func NewRunner(parallelism int) *Runner { return &Runner{Parallelism: parallelism} }
-
-// workers resolves the effective pool size for n jobs.
-func (r *Runner) workers(n int) int {
-	p := r.Parallelism
+func workers(p, n int) int {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
@@ -65,21 +49,16 @@ func (r *Runner) workers(n int) int {
 	return p
 }
 
-// RunJobs executes every job and returns results in submission order. On
-// failure it returns the error of the earliest-submitted failing job, so
-// error reporting is deterministic too.
-func (r *Runner) RunJobs(opts Options, jobs []Job) ([]driver.Result, error) {
-	return mapOrdered(r.workers(len(jobs)), len(jobs), func(i int) (driver.Result, error) {
+// runJobs fans the jobs across the pool opts.Parallelism configures and
+// returns their results in submission order; on failure, the error of the
+// earliest-submitted failing job, so error reporting is deterministic too.
+// Each job's result depends only on (Cfg, Gen, Delay, Options seed/scale),
+// never on scheduling, so any parallelism level produces byte-identical
+// experiment tables.
+func runJobs(opts Options, jobs []Job) ([]driver.Result, error) {
+	return mapOrdered(workers(opts.Parallelism, len(jobs)), len(jobs), func(i int) (driver.Result, error) {
 		return runJob(jobs[i], opts)
 	})
-}
-
-// Collect runs fn(0..n-1) across the pool and returns the results in index
-// order — the escape hatch for experiments whose runs need more than a
-// driver.Result (it is still subject to the same determinism contract: fn
-// must depend only on its index).
-func (r *Runner) Collect(n int, fn func(i int) (driver.Result, error)) ([]driver.Result, error) {
-	return mapOrdered(r.workers(n), n, fn)
 }
 
 // mapOrdered fans fn(0..n-1) across at most p goroutines, writing each

@@ -14,28 +14,18 @@ import (
 // produce byte-identical tables at Parallelism 1 (sequential) and 8.
 func TestParallelEquivalence(t *testing.T) {
 	small := Options{Seed: 1, Requests: 300, MaxTime: 3_000_000}
-	for _, tc := range []struct {
-		id string
-		fn func(Options) (Table, error)
-	}{
-		{"fig9", Figure9},
-		{"push", AblationPush},
-		{"fairness", FairnessExperiment},
-		{"saturation", Saturation},
-		{"jitter", DelaySensitivity},
-	} {
-		tc := tc
-		t.Run(tc.id, func(t *testing.T) {
+	for _, id := range []string{"fig9", "push", "fairness", "saturation", "jitter"} {
+		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			seq := small
 			seq.Parallelism = 1
 			par := small
 			par.Parallelism = 8
-			seqTbl, err := tc.fn(seq)
+			seqTbl, err := Run(id, seq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parTbl, err := tc.fn(par)
+			parTbl, err := Run(id, par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,13 +39,12 @@ func TestParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunnerOrderAndErrors pins the Runner contract: results come back in
+// TestRunnerOrderAndErrors pins the pool contract: results come back in
 // submission order, and the reported error is the earliest-submitted
 // failure regardless of execution interleaving.
 func TestRunnerOrderAndErrors(t *testing.T) {
-	r := NewRunner(4)
 	n := 64
-	res, err := r.Collect(n, func(i int) (driver.Result, error) {
+	res, err := mapOrdered(workers(4, n), n, func(i int) (driver.Result, error) {
 		return driver.Result{N: i}, nil
 	})
 	if err != nil {
@@ -67,7 +56,7 @@ func TestRunnerOrderAndErrors(t *testing.T) {
 		}
 	}
 	// Earliest-submitted error wins deterministically.
-	_, err = r.Collect(n, func(i int) (driver.Result, error) {
+	_, err = mapOrdered(workers(4, n), n, func(i int) (driver.Result, error) {
 		if i%10 == 3 {
 			return driver.Result{}, fmt.Errorf("boom %d", i)
 		}
@@ -81,8 +70,7 @@ func TestRunnerOrderAndErrors(t *testing.T) {
 // TestRunnerParallelismCaps checks worker-pool sizing edge cases.
 func TestRunnerParallelismCaps(t *testing.T) {
 	var active, maxActive atomic.Int64
-	r := NewRunner(2)
-	_, err := r.Collect(16, func(i int) (driver.Result, error) {
+	_, err := mapOrdered(workers(2, 16), 16, func(i int) (driver.Result, error) {
 		cur := active.Add(1)
 		defer active.Add(-1)
 		for {
@@ -99,31 +87,25 @@ func TestRunnerParallelismCaps(t *testing.T) {
 	if maxActive.Load() > 2 {
 		t.Errorf("concurrency %d exceeds Parallelism 2", maxActive.Load())
 	}
-	if got := NewRunner(0).workers(5); got < 1 {
+	if got := workers(0, 5); got < 1 {
 		t.Errorf("workers = %d", got)
 	}
-	if got := NewRunner(8).workers(3); got != 3 {
+	if got := workers(8, 3); got != 3 {
 		t.Errorf("workers capped by job count: %d, want 3", got)
 	}
 }
 
 // TestSeedZeroUsable is the regression test for Options.withDefaults
-// silently rewriting Seed: 0 — an explicitly set zero seed must survive.
+// silently rewriting Seed: 0 — a zero seed must survive.
 func TestSeedZeroUsable(t *testing.T) {
-	// Zero-value Options still inherit the default seed.
-	if got := (Options{}).withDefaults().Seed; got != DefaultOptions().Seed {
-		t.Errorf("implicit seed = %d, want default %d", got, DefaultOptions().Seed)
+	if o := (Options{Seed: 0}).withDefaults(); o.Seed != 0 {
+		t.Fatalf("seed 0 rewritten to %d", o.Seed)
 	}
-	// An explicit zero seed is preserved...
-	o := Options{Seed: 0, SeedSet: true}.withDefaults()
-	if o.Seed != 0 {
-		t.Fatalf("explicit seed 0 rewritten to %d", o.Seed)
-	}
-	// ...and actually drives a run end to end.
+	// Seed 0 drives a run end to end.
 	res, err := runJob(Job{
 		Cfg: figureConfig(protocol.BinarySearch, 8),
 		Gen: workload.Poisson{N: 8, MeanGap: 10},
-	}, Options{Seed: 0, SeedSet: true, Requests: 100, MaxTime: 1_000_000})
+	}, Options{Seed: 0, Requests: 100, MaxTime: 1_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +128,7 @@ func TestSeedZeroUsable(t *testing.T) {
 // TestCSVRoundTrip: Table → CSV → ParseCSV reproduces the table exactly
 // (%g float encoding is lossless).
 func TestCSVRoundTrip(t *testing.T) {
-	tbl, err := Saturation(Options{Seed: 3, Requests: 64, MaxTime: 1_000_000})
+	tbl, err := Run("saturation", Options{Seed: 3, Requests: 64, MaxTime: 1_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +173,7 @@ func TestCSVRoundTrip(t *testing.T) {
 func TestRunStats(t *testing.T) {
 	var stats RunStats
 	opts := Options{Seed: 1, Requests: 200, MaxTime: 2_000_000, Parallelism: 4, Stats: &stats}
-	if _, err := Saturation(opts); err != nil {
+	if _, err := Run("saturation", opts); err != nil {
 		t.Fatal(err)
 	}
 	snap := stats.Snapshot()

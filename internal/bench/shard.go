@@ -56,7 +56,7 @@ func RunSharded(opts Options, shards, totalNodes int, meanGap float64) (ShardRes
 		Nodes:    nodes,
 		Protocol: figureConfig(protocol.BinarySearch, nodes),
 		Seed:     opts.Seed,
-		Parallel: opts.runner().workers(shards),
+		Parallel: workers(opts.Parallelism, shards),
 	})
 	if err != nil {
 		return ShardResult{}, err
@@ -87,14 +87,13 @@ func RunSharded(opts Options, shards, totalNodes int, meanGap float64) (ShardRes
 	return agg, nil
 }
 
-// Figure9Shard is the sharded Figure-9 experiment: aggregate
+// figure9Shard is the sharded Figure-9 experiment: aggregate
 // responsiveness versus shard count at fixed total load and fixed total
 // membership. With one shard it is exactly the unsharded BinarySearch run
 // (ShardParity machine-checks that); each doubling halves the ring every
 // token serves, so both the search cost (log n/K) and the queueing behind
 // one token shrink.
-func Figure9Shard(opts Options) (Table, error) {
-	opts = opts.withDefaults()
+func figure9Shard(opts Options) (Table, error) {
 	t := Table{
 		Name:   fmt.Sprintf("Sharded Figure 9 — aggregate responsiveness vs shard count (%d nodes total, mean gap %g)", shardTotalNodes, shardMeanGap),
 		XLabel: "shards",

@@ -24,13 +24,13 @@ func TestFigure9ShardDeterministic(t *testing.T) {
 	opts := Options{Seed: 1, Requests: 400, MaxTime: 2_000_000}
 	seq := opts
 	seq.Parallelism = 1
-	a, err := Figure9Shard(seq)
+	a, err := Run("fig9shard", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := opts
 	par.Parallelism = 4
-	b, err := Figure9Shard(par)
+	b, err := Run("fig9shard", par)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,10 @@ package conformance
 // quiescent data plane: zero physical messages in flight, no parked work,
 // no probe round active, and exactly one live member holding an undecorated
 // token with the view-maximal circulation stamp. Every such snapshot is a
-// sound pin point; the first one after a window closes it.
+// sound pin point; the first one after a window closes it. The checker
+// observes a step after its handler has run and before the host dispatches
+// its effects, so the snapshot's in-flight count does not yet hold the
+// step's own sends: the predicate adds them (DESIGN.md §6).
 //
 // Within stable epochs the per-step single-token safety of Theorem 1 is
 // enforced twice over: machine-checked on every applied step by the
@@ -158,7 +161,7 @@ func (c *ChurnChecker) OnStep(s driver.Step) {
 		}
 		c.enterWindow()
 	}
-	c.tryRepin()
+	c.tryRepin(len(s.Effects.Msgs))
 }
 
 // OnFault implements driver.Observer.
@@ -190,7 +193,7 @@ func (c *ChurnChecker) Finish() error {
 		return c.err
 	}
 	if c.stuttering {
-		c.tryRepin()
+		c.tryRepin(0) // the run is over: no step is between handler and effects
 	}
 	if c.stuttering {
 		c.err = fmt.Errorf("conformance: run ended inside a churn window — no stable epoch re-committed after %d stutter windows (token lost, or view never quiesced)", c.windows)
@@ -212,13 +215,14 @@ func (c *ChurnChecker) enterWindow() {
 }
 
 // tryRepin probes the driver for a stable epoch and, on commit, re-enters
-// rule-by-rule checking from a fresh pin.
-func (c *ChurnChecker) tryRepin() {
+// rule-by-rule checking from a fresh pin. unsent is the number of messages
+// the step being observed has produced and the host has not yet dispatched.
+func (c *ChurnChecker) tryRepin(unsent int) {
 	if c.snap == nil {
 		return
 	}
 	s := c.snap()
-	members, base, pin, ok := stablePin(s)
+	members, base, pin, ok := stablePin(s, unsent)
 	if !ok {
 		return
 	}
@@ -237,11 +241,13 @@ func (c *ChurnChecker) tryRepin() {
 // stablePin decides whether a churn snapshot is a committed stable epoch
 // and, if so, converts it into pin coordinates: the ascending member list,
 // the stamp base (view-minimal LastSeen), and the synthesized spec pin.
-func stablePin(s driver.ChurnSnapshot) (members []int, base uint64, pin spec.Pin, ok bool) {
+// unsent counts messages already produced but not yet on the wire the
+// snapshot saw; they are in flight all the same.
+func stablePin(s driver.ChurnSnapshot, unsent int) (members []int, base uint64, pin spec.Pin, ok bool) {
 	if len(s.Nodes) == 0 || len(s.Members) < 2 {
 		return nil, 0, pin, false // no snapshot yet, or a collapsed view
 	}
-	if s.InFlight != 0 || s.HeldWork {
+	if s.InFlight+unsent != 0 || s.HeldWork {
 		return nil, 0, pin, false // data plane not quiescent
 	}
 	holder := -1

@@ -27,6 +27,25 @@ func TestSweepSafeMixesClean(t *testing.T) {
 	}
 }
 
+// The five churn scenarios the full-depth sweep failed until ChurnChecker
+// counted a step's own undispatched sends as in flight: each re-pinned its
+// ghost term between a handler and its effects, then met a search message
+// that "was never sent (or already consumed)". The sweep above runs seeds
+// 1–2 only and never reaches them.
+func TestChurnRepinCountsOwnSends(t *testing.T) {
+	for _, sc := range []Scenario{
+		{Variant: "linear", Mix: "join-storm", Seed: 4},
+		{Variant: "linear", Mix: "leave-storm", Seed: 3},
+		{Variant: "linear", Mix: "leave-storm", Seed: 4},
+		{Variant: "linear", Mix: "churn-mix", Seed: 8},
+		{Variant: "binsearch", Mix: "crash-regen", Seed: 6},
+	} {
+		if rep := Run(sc, nil); rep.Err != nil {
+			t.Errorf("%s/%s seed=%d: %v", sc.Variant, sc.Mix, sc.Seed, rep.Err)
+		}
+	}
+}
+
 // The planted token-duplication bug (an unsafe mix that duplicates
 // token-bearing messages) is caught, shrunk to a minimal counterexample —
 // a single duplication suffices to break the single-token invariant — and
