@@ -33,17 +33,17 @@ bench:
 	$(GO) test -run XXX -bench . -benchmem ./internal/history/ ./internal/bench/
 	$(GO) test -run XXX -bench . -benchmem .
 
-# Memory-focused benchmarks plus the allocation- and throughput-regression
-# gates: the engine micro-benchmarks (0 B/op budget on the typed event
-# paths, wheel-vs-heap unit-delay comparison), the fig9 slice (B/op ÷
-# events/op = bytes/event), the checked-in per-event budget of
-# internal/bench/alloc_budget.json, and the sequential events/sec floor of
-# internal/bench/perf_budget.json. See DESIGN.md §8/§10 and EXPERIMENTS.md
-# ("Allocation metrics", "Throughput gate").
+# Memory-focused benchmarks plus the allocation-regression gates: the
+# engine micro-benchmarks (0 B/op budget on the typed event paths,
+# wheel-vs-heap unit-delay comparison), the fig9 slice (B/op ÷ events/op =
+# bytes/event) and the checked-in per-event budget of
+# internal/bench/alloc_budget.json. Throughput is BENCHMARK.json's
+# grants_per_s, not a test. See DESIGN.md §8/§10 and EXPERIMENTS.md
+# ("Allocation metrics", "Throughput").
 bench-mem:
 	$(GO) test -run XXX -bench 'BenchmarkEngine' -benchmem ./internal/sim/
 	$(GO) test -run XXX -bench 'BenchmarkFig9Slice' -benchmem ./internal/bench/
-	$(GO) test -run 'TestAllocationBudget|TestThroughputBudget|TestEngineSteadyStateAllocFree|TestCompactToAllocFree' \
+	$(GO) test -run 'TestAllocationBudget|TestEngineSteadyStateAllocFree|TestCompactToAllocFree' \
 		-v ./internal/bench/ ./internal/sim/ ./internal/history/
 
 # Randomized fault-injection torture sweep: 9 seeds × 9 fault mixes ×

@@ -32,6 +32,12 @@ package conformance
 // its effects, so the snapshot's in-flight count does not yet hold the
 // step's own sends: the predicate adds them (DESIGN.md §6).
 //
+// The simulation driver hands the checker its snapshot probe (Bind) and
+// the checker re-pins itself inside a step. A live cluster cannot be read
+// from inside a step, so its harness (internal/torture) takes the snapshot
+// at quiescent settle points and passes it to Repin; the window rules, the
+// stable-epoch test and the pin conversion are the same code for both.
+//
 // Within stable epochs the per-step single-token safety of Theorem 1 is
 // enforced twice over: machine-checked on every applied step by the
 // driver's per-epoch census (driver.Runner.ChurnErr) and re-proved on the
@@ -141,12 +147,6 @@ func opensWindow(s driver.Step) bool {
 	return false
 }
 
-// OpensStutterWindow reports whether a step must stutter rather than be
-// checked under churn-mode conformance: view applications and any step
-// carrying §5 recovery traffic. Exported for the live churn harness, which
-// runs the same stutter discipline over explicitly re-pinned segments.
-func OpensStutterWindow(s driver.Step) bool { return opensWindow(s) }
-
 // OnStep implements driver.Observer.
 func (c *ChurnChecker) OnStep(s driver.Step) {
 	if c.err != nil {
@@ -218,24 +218,36 @@ func (c *ChurnChecker) enterWindow() {
 // rule-by-rule checking from a fresh pin. unsent is the number of messages
 // the step being observed has produced and the host has not yet dispatched.
 func (c *ChurnChecker) tryRepin(unsent int) {
-	if c.snap == nil {
-		return
+	if c.snap != nil {
+		c.repin(c.snap(), unsent)
 	}
-	s := c.snap()
+}
+
+// Repin reports whether s shows a committed stable epoch and, if the
+// checker is stuttering, re-enters rule-by-rule checking from it. It is
+// the caller-driven counterpart of Bind for clusters whose state cannot be
+// read from inside a step — live runtimes, whose harness snapshots every
+// member at quiescent settle points and passes the snapshot in. No step
+// may sit between its handler and its effects while s is taken.
+func (c *ChurnChecker) Repin(s driver.ChurnSnapshot) bool { return c.repin(s, 0) }
+
+// repin is Repin with unsent messages counted as in flight.
+func (c *ChurnChecker) repin(s driver.ChurnSnapshot, unsent int) bool {
 	members, base, pin, ok := stablePin(s, unsent)
-	if !ok {
-		return
+	if !ok || c.err != nil || !c.stuttering {
+		return ok
 	}
 	inner, err := NewPinned(c.cfg, members, base, pin)
 	if err != nil {
 		// The stability predicate guarantees a well-formed pin; a failure
 		// here is a checker bug, reported loudly rather than stuttered over.
 		c.err = fmt.Errorf("conformance: re-pin after stutter window %d: %w", c.windows, err)
-		return
+		return true
 	}
 	c.inner = inner
 	c.stuttering = false
 	c.repins++
+	return true
 }
 
 // stablePin decides whether a churn snapshot is a committed stable epoch

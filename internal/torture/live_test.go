@@ -133,6 +133,22 @@ func TestLiveChurnReplayIsDeterministic(t *testing.T) {
 	}
 }
 
+// A live run is rule-checked, not only served: without churn one pinned
+// segment checks the whole chain, with churn one segment per stable epoch.
+// A runner that never pinned would pass every sweep with zero checked
+// steps.
+func TestLiveRunsCheckSteps(t *testing.T) {
+	for _, mix := range []string{"live-clean", "live-leave"} {
+		rep := Run(Scenario{Variant: "linear", Mix: mix, Seed: 1, Requests: 8}, nil)
+		if rep.Err != nil {
+			t.Fatalf("%s: %v", mix, rep.Err)
+		}
+		if rep.Steps == 0 {
+			t.Fatalf("%s: no conformance-checked steps", mix)
+		}
+	}
+}
+
 // Live scenarios reject variants whose grants race the wall clock: ring
 // (rotation-served) and binary search (trap-sprung by token movement).
 func TestLiveRejectsNonDeterministicVariants(t *testing.T) {

@@ -275,9 +275,9 @@ var mixes = map[string]Mix{
 	},
 
 	// The live-* churn mixes run membership events on real concurrent
-	// runtimes (see live_churn.go): events apply at deterministic chain
-	// positions, and conformance runs the stutter discipline with
-	// harness-driven segment re-pins. Plans stay clean — probabilistic
+	// runtimes (see live.go): events apply at deterministic chain
+	// positions, and the churn checker re-pins from the harness's
+	// settle-point snapshots. Plans stay clean — probabilistic
 	// faults would entangle with the wall clock; the churn IS the fault.
 	"live-join": {
 		Name: "live-join", Live: true, Conformance: true, Churn: true,
@@ -457,16 +457,13 @@ func Run(sc Scenario, replay *faults.Schedule) Report {
 		return rep
 	}
 
-	var inj *faults.Injector
+	inj, err := injectorFor(sc, mix, replay)
+	if err != nil {
+		rep.Err = err
+		return rep
+	}
 	if replay != nil {
-		inj = faults.Replay(*replay)
 		rep.Schedule = *replay
-	} else {
-		inj, err = faults.NewInjector(mix.Plan(sc))
-		if err != nil {
-			rep.Err = err
-			return rep
-		}
 	}
 
 	var members []int
@@ -547,6 +544,15 @@ func Run(sc Scenario, replay *faults.Schedule) Report {
 	return rep
 }
 
+// injectorFor builds a scenario's fault injector: the recorded decisions
+// of replay verbatim, or with replay nil the mix's recording policy.
+func injectorFor(sc Scenario, mix Mix, replay *faults.Schedule) (*faults.Injector, error) {
+	if replay != nil {
+		return faults.Replay(*replay), nil
+	}
+	return faults.NewInjector(mix.Plan(sc))
+}
+
 // runChurn drives a churn-mix scenario: the injector's membership events
 // fire on their own schedule while a Poisson request load runs over the
 // nodes that survive to the end (a crash victim's requests are never
@@ -561,67 +567,9 @@ func runChurn(r *driver.Runner, sc Scenario, events []faults.ChurnEvent) error {
 		if e.Op == faults.ChurnCrash {
 			crashed[e.Node] = true
 		}
-		if sim.Time(e.At) > lastChurn {
-			lastChurn = sim.Time(e.At)
-		}
+		lastChurn = max(lastChurn, sim.Time(e.At))
 	}
-	rng := sim.NewRNG(sc.Seed ^ 0xa5a5a5a5a5a5a5a5)
-	reqs := workload.Take(workload.Poisson{N: sc.N, MeanGap: sc.MeanGap}, rng, sc.Requests)
-	var lastAt sim.Time
-	issued := 0
-	for _, q := range reqs {
-		if crashed[q.Node] {
-			continue
-		}
-		if err := r.Request(q.At, q.Node); err != nil {
-			return err
-		}
-		issued++
-		if q.At > lastAt {
-			lastAt = q.At
-		}
-	}
-	probeAt := lastAt + 500
-	if lastChurn+500 > probeAt {
-		probeAt = lastChurn + 500
-	}
-	probe := 0
-	for crashed[probe] {
-		probe++
-	}
-	if probe < sc.N {
-		if err := r.Request(probeAt, probe); err != nil {
-			return err
-		}
-		issued++
-		lastAt = probeAt
-	}
-
-	maxTime := sim.Time(sc.MaxTime)
-	for r.Engine().Now() < maxTime {
-		next := r.Engine().Now() + 5_000
-		if next > maxTime {
-			next = maxTime
-		}
-		r.Engine().RunUntil(next)
-		if r.ChurnErr() != nil {
-			break
-		}
-		if r.Waits.Outstanding() == 0 && r.Engine().Now() >= lastAt && r.Engine().Now() >= lastChurn {
-			break
-		}
-	}
-	if err := r.ChurnErr(); err != nil {
-		return err
-	}
-	if out := r.Waits.Outstanding(); out > 0 {
-		return fmt.Errorf("torture: churn mix: %d of %d requests unserved at t=%d",
-			out, issued, r.Engine().Now())
-	}
-	if c := r.TokenCount(); c > 1 {
-		return fmt.Errorf("torture: churn mix: %d tokens after settling", c)
-	}
-	return nil
+	return serve(r, sc, crashed, lastChurn, true)
 }
 
 // runCrash drives a crash-mix scenario: one seed-derived victim dies early,
@@ -634,37 +582,68 @@ func runCrash(r *driver.Runner, sc Scenario) error {
 	if err := r.Kill(killAt, victim); err != nil {
 		return err
 	}
+	return serve(r, sc, map[int]bool{victim: true}, 0, false)
+}
+
+// serve issues the scenario's Poisson requests except from the nodes in
+// dead (a dead node never asks), runs the engine in 5,000-tick chunks until
+// every issued request is served and the clock has passed quiet, and then
+// demands that none is left unserved and at most one token remains. A
+// churn run also issues runChurn's probe request, 500 ticks after both the
+// last request and quiet, and stops early on a census violation.
+func serve(r *driver.Runner, sc Scenario, dead map[int]bool, quiet sim.Time, churn bool) error {
 	rng := sim.NewRNG(sc.Seed ^ 0xa5a5a5a5a5a5a5a5)
 	reqs := workload.Take(workload.Poisson{N: sc.N, MeanGap: sc.MeanGap}, rng, sc.Requests)
 	var lastAt sim.Time
 	issued := 0
 	for _, q := range reqs {
-		if q.Node == victim {
-			continue // the dead node never asks
+		if dead[q.Node] {
+			continue
 		}
 		if err := r.Request(q.At, q.Node); err != nil {
 			return err
 		}
 		issued++
-		lastAt = q.At
+		lastAt = max(lastAt, q.At)
 	}
+	if churn {
+		probe := 0
+		for dead[probe] {
+			probe++
+		}
+		if probe < sc.N {
+			probeAt := max(lastAt, quiet) + 500
+			if err := r.Request(probeAt, probe); err != nil {
+				return err
+			}
+			issued++
+			lastAt = probeAt
+		}
+	}
+
 	maxTime := sim.Time(sc.MaxTime)
 	for r.Engine().Now() < maxTime {
-		next := r.Engine().Now() + 5_000
-		if next > maxTime {
-			next = maxTime
+		r.Engine().RunUntil(min(r.Engine().Now()+5_000, maxTime))
+		if r.ChurnErr() != nil {
+			break
 		}
-		r.Engine().RunUntil(next)
-		if r.Waits.Outstanding() == 0 && r.Engine().Now() >= lastAt {
+		if r.Waits.Outstanding() == 0 && r.Engine().Now() >= max(lastAt, quiet) {
 			break
 		}
 	}
+	if err := r.ChurnErr(); err != nil {
+		return err
+	}
+	family, asked := "crash mix", "live requests"
+	if churn {
+		family, asked = "churn mix", "requests"
+	}
 	if out := r.Waits.Outstanding(); out > 0 {
-		return fmt.Errorf("torture: crash mix: %d of %d live requests unserved at t=%d",
-			out, issued, r.Engine().Now())
+		return fmt.Errorf("torture: %s: %d of %d %s unserved at t=%d",
+			family, out, issued, asked, r.Engine().Now())
 	}
 	if c := r.TokenCount(); c > 1 {
-		return fmt.Errorf("torture: crash mix: %d tokens after settling", c)
+		return fmt.Errorf("torture: %s: %d tokens after settling", family, c)
 	}
 	return nil
 }
