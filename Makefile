@@ -34,9 +34,9 @@ bench:
 	$(GO) test -run XXX -bench . -benchmem .
 
 # Memory-focused benchmarks plus the allocation-regression gates: the
-# engine micro-benchmarks (0 B/op budget on the typed event paths,
-# wheel-vs-heap unit-delay comparison), the fig9 slice (B/op ÷ events/op =
-# bytes/event) and the checked-in per-event budget of
+# engine micro-benchmarks (0 B/op budget on the typed event paths, the
+# unit-delay and same-timestamp batch paths), the fig9 slice (B/op ÷
+# events/op = bytes/event) and the checked-in per-event budget of
 # internal/bench/alloc_budget.json. Throughput is BENCHMARK.json's
 # grants_per_s, not a test. See DESIGN.md §8/§10 and EXPERIMENTS.md
 # ("Allocation metrics", "Throughput").
@@ -50,20 +50,22 @@ bench-mem:
 # 3 variants = 243 simulated scenarios (including the five churn families:
 # join-storm, leave-storm, crash-regen, churn-mix, churn-lossy) plus the
 # live sweep — 5 mixes × 1 variant × 9 seeds on real concurrent runtimes —
-# each asserting single-token safety, liveness and (for the modeled
-# configs) spec-trace conformance; churn scenarios machine-check per-epoch
-# safety on every step and conformance via stutter windows + stable-epoch
-# re-pins. Failures are shrunk to minimal counterexamples and written under
-# artifacts/ for -replay. See EXPERIMENTS.md ("Torture harness",
-# "Torturing churn").
+# each asserting liveness and (for the modeled configs) spec-trace
+# conformance. Every simulated scenario also runs the driver's token census
+# (single-token safety per epoch) on every step; churn scenarios check
+# conformance via stutter windows + stable-epoch re-pins. Ends
+# "288 scenarios, 0 failures". Failures are shrunk to minimal
+# counterexamples and written under artifacts/ for -replay. See
+# EXPERIMENTS.md ("Torture harness", "Torturing churn").
 torture: build
 	$(GO) run ./cmd/tokensim -torture -artifact-dir artifacts
 
 # Sharded torture families on the keyspace-sharded cluster: three
 # independent BinarySearch rings behind the router, faults confined to
-# chosen shards, the single-token census machine-checked per shard.
-# Failures carry per-shard fault schedules and shrink shard by shard.
-# See EXPERIMENTS.md ("Sharded fig9") and DESIGN.md §12.
+# chosen shards, each shard's driver running its own token census. Ends
+# "27 scenarios, 0 failures". Failures carry per-shard fault schedules and
+# shrink shard by shard. See EXPERIMENTS.md ("Sharded fig9") and DESIGN.md
+# §12.
 torture-shards: build
 	$(GO) run ./cmd/tokensim -torture \
 		-torture-mix shard-clean,shard-lossy,shard-crash \
@@ -125,9 +127,10 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzShardRouter -fuzztime 10s ./internal/shard/
 	$(GO) test -run XXX -fuzz FuzzFrameCodec -fuzztime 10s ./internal/transport/
 
-# The full torture sweep rides along (~50 s; it exits 1 on any failing
-# scenario), so a red fence is a red build locally too, not only in CI.
-check: build vet fmt test race torture
+# The full torture sweep and the shard sweep ride along (~1 min; each exits
+# 1 on any failing scenario), so a red fence is a red build locally too,
+# not only in CI.
+check: build vet fmt test race torture torture-shards
 
 clean:
 	$(GO) clean ./...

@@ -1,9 +1,8 @@
 // Package bitset provides a fixed-size bit set with a maintained population
 // count. It packs the driver's per-node boolean state — dead, paused,
-// token-holder, membership, pending-leave — 64 nodes to the word, so a
-// 10⁶-node ring costs ~122 KiB per flag instead of ~1 MB, and the "how many
-// bits are set" questions the single-token invariant asks on every applied
-// step stay O(1).
+// membership, pending-leave — 64 nodes to the word, so a 10⁶-node ring
+// costs ~122 KiB per flag instead of ~1 MB, and the "how many bits are set"
+// questions the driver asks on every step stay O(1).
 package bitset
 
 import "math/bits"

@@ -39,9 +39,9 @@ package conformance
 // stable-epoch test and the pin conversion are the same code for both.
 //
 // Within stable epochs the per-step single-token safety of Theorem 1 is
-// enforced twice over: machine-checked on every applied step by the
-// driver's per-epoch census (driver.Runner.ChurnErr) and re-proved on the
-// ghost state by TokenUniquenessInvariant at the checker cadence. Finish
+// enforced twice over: checked on every applied step by the driver's token
+// census (driver.Runner.InvariantErr) and re-proved on the ghost state by
+// TokenUniquenessInvariant at the checker cadence. Finish
 // additionally demands the run END in a stable epoch: a trace that never
 // re-stabilizes after its final churn burst — the token stays lost, a view
 // never commits — is a conformance failure, not a silent stutter.

@@ -117,7 +117,7 @@ func TestChurnCheckerCrashRegeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Engine().RunUntil(5_000)
-	if err := r.ChurnErr(); err != nil {
+	if err := r.InvariantErr(); err != nil {
 		t.Fatal(err)
 	}
 	if chk.Repins() == 0 {

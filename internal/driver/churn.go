@@ -27,13 +27,9 @@ package driver
 // stalled process still loses its membership lease), while data-plane
 // traffic keeps queueing.
 //
-// While churn is enabled the driver machine-checks per-epoch single-token
-// safety after every applied step: within each token epoch, live in-view
-// holders plus in-flight token-bearing messages of that epoch never exceed
-// one. Distinct epochs may transiently coexist (a regenerated token
-// overtaking a stale one) — that is the §5 design — but two tokens of one
-// epoch are a safety bug, and this check is what catches the planted
-// BuggyElection double mint.
+// Safety under churn is the token census's rule (a) (census.go): two tokens
+// of one epoch are a bug, and it is what catches the planted BuggyElection
+// double mint.
 
 import (
 	"fmt"
@@ -60,22 +56,10 @@ type churnState struct {
 	leaving    bool // tryLeaves is on the stack (reentrancy guard)
 
 	// inflight counts every physical message on the wire (parked arrivals
-	// at paused nodes included); epochInFlight splits the token-bearing
-	// ones by epoch; tokenTo counts token-bearing in-flights per
-	// destination (the leave-safety gate).
-	inflight      int
-	epochInFlight map[uint64]int
-	tokenTo       []int
-
-	err error // first per-epoch invariant violation
-
-	// epochCensus is the reusable scratch of checkChurnInvariant.
-	epochCensus []epochCount
-}
-
-type epochCount struct {
-	epoch uint64
-	n     int
+	// at paused nodes included); tokenTo counts token-bearing in-flights
+	// per destination (the leave-safety gate).
+	inflight int
+	tokenTo  []int
 }
 
 // enableChurn switches the runner into churn mode. Idempotent. Counters
@@ -102,18 +86,14 @@ func (r *Runner) enableChurn(initial []int) error {
 		}
 	}
 	ch := &churnState{
-		tracker:       membership.NewTracker(view),
-		member:        bitset.New(r.cfg.N),
-		wantLeave:     bitset.New(r.cfg.N),
-		epochInFlight: make(map[uint64]int),
-		tokenTo:       make([]int, r.cfg.N),
+		tracker:   membership.NewTracker(view),
+		member:    bitset.New(r.cfg.N),
+		wantLeave: bitset.New(r.cfg.N),
+		tokenTo:   make([]int, r.cfg.N),
+		inflight:  r.census.inFlight,
 	}
 	for _, m := range view.Members {
 		ch.member.Set(m)
-	}
-	if r.inFlightToken > 0 {
-		ch.epochInFlight[0] = r.inFlightToken
-		ch.inflight = r.inFlightToken
 	}
 	r.churn = ch
 	// Give the members their initial view directly (no steps: the engine
@@ -239,7 +219,8 @@ func (r *Runner) commitCrash(id int) {
 	}
 	delete(r.held, id)
 	// The token dies with the corpse; only §5 recovery can replace it.
-	r.hasTok.Clear(id)
+	r.census.crash(id)
+	r.census.check(r.eng.Now())
 	ch.wantLeave.Clear(id)
 	if !ch.member.Get(id) {
 		return
@@ -310,63 +291,11 @@ func (r *Runner) propagateView(joiner int, syncStamp, syncEpoch uint64) {
 	r.afterChurn()
 }
 
-// afterChurn runs the deferred churn work skipped while committing.
+// afterChurn runs the leaves deferred while committing.
 func (r *Runner) afterChurn() {
 	if r.churn.wantLeave.Any() {
 		r.tryLeaves()
 	}
-	r.checkChurnInvariant()
-}
-
-// checkChurnInvariant asserts per-epoch single-token safety: for every
-// token epoch, live in-view holders plus in-flight token-bearing messages
-// of that epoch must not exceed one. Runs after every applied step while
-// churn is enabled — machine-checked, not sampled.
-func (r *Runner) checkChurnInvariant() {
-	ch := r.churn
-	if ch.err != nil {
-		return
-	}
-	census := ch.epochCensus[:0]
-	add := func(epoch uint64, n int) {
-		for i := range census {
-			if census[i].epoch == epoch {
-				census[i].n += n
-				return
-			}
-		}
-		census = append(census, epochCount{epoch: epoch, n: n})
-	}
-	for i := 0; i < r.cfg.N; i++ {
-		if !ch.member.Get(i) || r.dead.Get(i) || !r.nodes[i].HasToken() {
-			continue
-		}
-		add(r.nodes[i].Epoch(), 1)
-	}
-	for ep, c := range ch.epochInFlight {
-		if c != 0 {
-			add(ep, c)
-		}
-	}
-	ch.epochCensus = census
-	for _, e := range census {
-		if e.n > 1 {
-			ch.err = fmt.Errorf("driver: churn: %d tokens in epoch %d at t=%d", e.n, e.epoch, r.eng.Now())
-			return
-		}
-		if e.n < 0 {
-			ch.err = fmt.Errorf("driver: churn: negative in-flight count %d in epoch %d at t=%d", e.n, e.epoch, r.eng.Now())
-			return
-		}
-	}
-}
-
-// ChurnErr returns the first per-epoch single-token violation, if any.
-func (r *Runner) ChurnErr() error {
-	if r.churn == nil {
-		return nil
-	}
-	return r.churn.err
 }
 
 // Members returns the current view's members (all ring positions when churn

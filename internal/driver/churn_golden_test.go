@@ -8,15 +8,13 @@ import (
 	"adaptivetoken/internal/driver"
 	"adaptivetoken/internal/faults"
 	"adaptivetoken/internal/protocol"
-	"adaptivetoken/internal/sim"
 	"adaptivetoken/internal/workload"
 )
 
-// Churn golden traces: three churn scenario shapes × two seeds, each run
-// under BOTH schedulers (extending TestSchedulerEquivalence to membership
-// events). The digests cover every StepView step and join/leave/crash fault
-// event, so any drift in view-propagation order, state-transfer stamps, or
-// churn commit timing fails loudly. Regenerate (only for a deliberate
+// Churn golden traces: three churn scenario shapes × two seeds. The digests
+// cover every StepView step and join/leave/crash fault event, so any drift
+// in view-propagation order, state-transfer stamps, or churn commit timing
+// fails loudly. Regenerate (only for a deliberate
 // semantic change) with GOLDEN_TRACE_PRINT=1 go test -run TestChurnGoldenTrace.
 var goldenChurnTraces = map[string]uint64{
 	"join-storm/seed1":  0xbb22dbf877a1b978,
@@ -76,7 +74,7 @@ func churnScenarios() []churnScenario {
 	}
 }
 
-func runChurnScenario(t *testing.T, sc churnScenario, seed uint64, sched sim.Scheduler) uint64 {
+func runChurnScenario(t *testing.T, sc churnScenario, seed uint64) uint64 {
 	t.Helper()
 	cfg := protocol.Config{Variant: sc.variant, N: 12, RecoveryTimeout: sc.recover}
 	if sc.variant != protocol.RingToken {
@@ -90,7 +88,6 @@ func runChurnScenario(t *testing.T, sc churnScenario, seed uint64, sched sim.Sch
 	dig := newTraceDigest()
 	r, err := driver.New(cfg, driver.Options{
 		Seed:           seed,
-		Scheduler:      sched,
 		Observer:       dig,
 		Faults:         inj,
 		InitialMembers: sc.initial,
@@ -101,37 +98,30 @@ func runChurnScenario(t *testing.T, sc churnScenario, seed uint64, sched sim.Sch
 	if _, err := r.RunWorkload(workload.Poisson{N: cfg.N, MeanGap: 40}, 120, 200_000); err != nil {
 		// Crashed nodes may take their own pending requests to the grave;
 		// unserved-by-death is scenario noise, not a digest failure.
-		t.Fatalf("%s/seed%d/%s: %v", sc.name, seed, sched, err)
-	}
-	if err := r.ChurnErr(); err != nil {
-		t.Fatalf("%s/seed%d/%s: churn invariant: %v", sc.name, seed, sched, err)
+		t.Fatalf("%s/seed%d: %v", sc.name, seed, err)
 	}
 	return dig.h
 }
 
 // TestChurnGoldenTrace pins the churn engine's full observable behavior —
 // StepView ordering, membership fault events, regeneration message flow —
-// to recorded digests, under both the wheel and the heap scheduler.
+// to recorded digests.
 func TestChurnGoldenTrace(t *testing.T) {
 	print := os.Getenv("GOLDEN_TRACE_PRINT") != ""
 	for _, sc := range churnScenarios() {
 		for _, seed := range []uint64{1, 2} {
 			key := fmt.Sprintf("%s/seed%d", sc.name, seed)
-			wheel := runChurnScenario(t, sc, seed, sim.SchedulerWheel)
-			heap := runChurnScenario(t, sc, seed, sim.SchedulerHeap)
-			if wheel != heap {
-				t.Errorf("%s: scheduler divergence under churn — wheel %#016x, heap %#016x", key, wheel, heap)
-			}
+			got := runChurnScenario(t, sc, seed)
 			if print {
-				fmt.Printf("\t%q: %#016x,\n", key, wheel)
+				fmt.Printf("\t%q: %#016x,\n", key, got)
 				continue
 			}
 			want, ok := goldenChurnTraces[key]
 			if !ok {
 				t.Fatalf("%s: no golden digest recorded", key)
 			}
-			if wheel != want {
-				t.Errorf("%s: churn trace digest %#016x, want %#016x — view propagation or regeneration flow diverged", key, wheel, want)
+			if got != want {
+				t.Errorf("%s: churn trace digest %#016x, want %#016x — view propagation or regeneration flow diverged", key, got, want)
 			}
 		}
 	}

@@ -2,13 +2,13 @@
 // the discrete-event kernel of internal/sim, reproducing the paper's
 // simulation study (§4.3): it injects workloads, delivers messages under a
 // delay model, gathers responsiveness/wait/message/fairness metrics, and
-// continuously checks the single-token safety invariant.
+// checks single-token safety after every step (the token census).
 //
 // Effect interpretation — dispatching messages through the fault injector,
 // arming timers, granting, notifying the observer — lives in internal/host;
 // the driver is the host-over-sim-clock adapter. It contributes what is
 // specific to simulation: the delay model, pause/kill windows, workload
-// scheduling, metrics collection and the single-token invariant.
+// scheduling, metrics collection and the token census.
 //
 // Fault injection — cheap-message loss and duplication, delivery jitter,
 // node pause/resume — goes through internal/faults: a single code path with
@@ -34,10 +34,6 @@ import (
 type Options struct {
 	// Seed drives all randomness (workload and delays).
 	Seed uint64
-	// Scheduler selects the engine's event scheduler. The zero value is
-	// sim.SchedulerWheel (the production default); sim.SchedulerHeap is the
-	// reference the equivalence tests run both sides of.
-	Scheduler sim.Scheduler
 	// Delay is the message delay model; nil means the paper's constant
 	// one-time-unit-per-message cost.
 	Delay sim.DelayModel
@@ -77,21 +73,14 @@ type Runner struct {
 	Msgs  *metrics.Messages
 	Fair  *metrics.Fairness
 
-	grants        int
-	issued        int // requests actually issued (not coalesced)
-	coalesced     int // requests skipped because the node was already pending or in CS
-	inFlightToken int
-	// hasTok mirrors per-node HasToken incrementally (updated on every
-	// applied step); its maintained popcount is the holder count, so the
-	// single-token invariant check is O(1) per event instead of the O(n)
-	// scan that dominated the PR 4 CPU profile. dead and paused are
-	// bitsets too: 1 bit per node per flag instead of 1 byte, and
-	// anyDead/heldWork become O(1) popcount reads.
-	hasTok       bitset.Set
-	invariantErr error
-	invariantOff bool
-	dead         bitset.Set
-	paused       bitset.Set
+	grants    int
+	issued    int // requests actually issued (not coalesced)
+	coalesced int // requests skipped because the node was already pending or in CS
+	census    census
+	// dead and paused are bitsets: 1 bit per node per flag instead of 1
+	// byte, and heldWork is an O(1) popcount read.
+	dead   bitset.Set
+	paused bitset.Set
 	// held maps a paused node to its queued work. Lazily allocated: runs
 	// without pauses (every benchmark sweep) never pay the per-node
 	// slice headers an array of queues cost at 10⁶ nodes. heldN is the
@@ -128,12 +117,13 @@ func New(cfg protocol.Config, opts Options) (*Runner, error) {
 		return nil, err
 	}
 	r := &Runner{
-		cfg:   cfg,
-		opts:  opts,
-		eng:   sim.NewEngineScheduler(opts.Seed, opts.Scheduler),
-		Waits: metrics.NewWaits(),
-		Msgs:  metrics.NewMessages(),
-		Fair:  metrics.NewFairness(),
+		cfg:    cfg,
+		opts:   opts,
+		eng:    sim.NewEngine(opts.Seed),
+		Waits:  metrics.NewWaits(),
+		Msgs:   metrics.NewMessages(),
+		Fair:   metrics.NewFairness(),
+		census: newCensus(),
 	}
 	if r.opts.Delay == nil {
 		r.opts.Delay = sim.ConstantDelay{D: 1}
@@ -148,7 +138,6 @@ func New(cfg protocol.Config, opts Options) (*Runner, error) {
 		r.faults = inj
 	}
 	r.dead = bitset.New(cfg.N)
-	r.hasTok = bitset.New(cfg.N)
 	r.paused = bitset.New(cfg.N)
 	r.nodes = make([]protocol.Node, cfg.N)
 	for i := range r.nodes {
@@ -168,7 +157,7 @@ func New(cfg protocol.Config, opts Options) (*Runner, error) {
 			TimerGate:   r.timerGate,
 			DeliverGate: r.deliverGate,
 			Applied:     r.onApplied,
-			Condemned:   func() bool { return r.safetyErr() != nil },
+			Condemned:   func() bool { return r.census.err != nil },
 		},
 	})
 	if err != nil {
@@ -206,11 +195,10 @@ func New(cfg protocol.Config, opts Options) (*Runner, error) {
 }
 
 // simNetwork is the driver's Network: deliveries cost the delay model plus
-// fault jitter and land back in the host via the event heap. Each physical
-// delivery of a token-bearing message counts toward inFlightToken — so an
-// (unsafe) duplicated token drives TokenCount to 2 and trips the invariant,
-// and an (unsafe) dropped token never increments it and trips the invariant
-// at 0.
+// fault jitter and land back in the host via the event queue. Each physical
+// delivery of a token-bearing message counts in the census — so an (unsafe)
+// duplicated token drives TokenCount to 2 and trips the census, and an
+// (unsafe) dropped token never enters it and trips the census at 0.
 type simNetwork struct{ r *Runner }
 
 // Deliver implements host.Network.
@@ -229,12 +217,11 @@ func (n simNetwork) Deliver(m protocol.Message, extra sim.Time) {
 func (r *Runner) countInFlight(m *protocol.Message, d int) {
 	expensive := m.Kind.Expensive()
 	if expensive {
-		r.inFlightToken += d
+		r.census.flight(m.Epoch, d)
 	}
 	if ch := r.churn; ch != nil {
 		ch.inflight += d
 		if expensive {
-			ch.epochInFlight[m.Epoch] += d
 			ch.tokenTo[m.To] += d
 		}
 	}
@@ -307,44 +294,29 @@ func (r *Runner) Issued() int { return r.issued }
 // Coalesced returns the number of requests absorbed by an outstanding one.
 func (r *Runner) Coalesced() int { return r.coalesced }
 
-// InvariantErr returns the first single-token invariant violation, if any.
-func (r *Runner) InvariantErr() error { return r.invariantErr }
-
-// safetyErr folds the global single-token invariant and the per-epoch churn
-// invariant into one verdict.
-func (r *Runner) safetyErr() error {
-	if r.invariantErr != nil {
-		return r.invariantErr
-	}
-	return r.ChurnErr()
-}
+// InvariantErr returns the token census's first violation, if any.
+func (r *Runner) InvariantErr() error { return r.census.err }
 
 // FaultSchedule returns the replayable record of every fault decision the
 // run's injector has taken so far.
 func (r *Runner) FaultSchedule() faults.Schedule { return r.faults.Schedule() }
 
-// Holder returns the ring position of the current token holder, or -1 while
-// the token is in flight (or lost). Used by the telemetry series sampler.
+// Holder returns the ring position of the current token holder (the lowest
+// one, should several hold), or -1 while the token is in flight (or lost).
+// Used by the telemetry series sampler.
 func (r *Runner) Holder() int {
-	for i := range r.nodes {
-		if !r.dead.Get(i) && r.nodes[i].HasToken() {
-			return i
+	lowest := -1
+	for _, h := range r.census.holders {
+		if lowest < 0 || h.node < lowest {
+			lowest = h.node
 		}
 	}
-	return -1
+	return lowest
 }
 
-// TokenCount returns live holders plus in-flight token messages; it must be
-// exactly 1 while no node has been killed.
-func (r *Runner) TokenCount() int {
-	holders := 0
-	for i := range r.nodes {
-		if !r.dead.Get(i) && r.nodes[i].HasToken() {
-			holders++
-		}
-	}
-	return holders + r.inFlightToken
-}
+// TokenCount returns live holders plus in-flight token messages, all epochs;
+// it must be exactly 1 while no node has been killed.
+func (r *Runner) TokenCount() int { return r.census.tokens() }
 
 // Kill schedules a crash of node id at time at: the node stops processing
 // messages and timers, and anything addressed to it vanishes. Killing the
@@ -358,8 +330,8 @@ func (r *Runner) Kill(at sim.Time, id int) error {
 
 // Pause freezes node for [at, at+dur): deliveries, timers, requests and
 // releases targeting it queue up and drain, in order, at resume. Unlike
-// Kill, a paused node loses nothing — the single-token invariant stays
-// exact (a token stuck at a paused node still counts as in flight).
+// Kill, a paused node loses nothing — the token census stays exact (a
+// token stuck at a paused node still counts as in flight).
 func (r *Runner) Pause(at sim.Time, node int, dur sim.Time) error {
 	if node < 0 || node >= r.cfg.N {
 		return fmt.Errorf("driver: pause of node %d out of range", node)
@@ -405,51 +377,22 @@ func (r *Runner) Pause(at sim.Time, node int, dur sim.Time) error {
 	})
 }
 
-// DisarmInvariant disables the single-token check for this run. Needed when
-// pause windows overlap a recovery timeout: regeneration while the holder
-// is merely paused (not dead) legitimately mints a second token.
-func (r *Runner) DisarmInvariant() { r.invariantOff = true }
-
 // heldWork reports whether any node is paused or has queued work — the run
 // is not quiescent until both clear.
 func (r *Runner) heldWork() bool {
 	return r.paused.Any() || r.heldN > 0
 }
 
-// onApplied maintains the incremental holder count and re-checks the
-// single-token invariant after every applied step. A node's HasToken can
-// only flip inside an applied step, so comparing against the cached value is
-// exact — and O(1) where scanning all nodes was the hottest path in the
-// whole repo (38% of fig9 CPU before this existed).
+// onApplied re-counts the stepping node in the token census, commits any
+// graceful leave the step made safe, and checks the census — after every
+// applied step.
 func (r *Runner) onApplied(id int) {
-	r.hasTok.SetTo(id, r.nodes[id].HasToken())
-	r.checkInvariant()
-	if ch := r.churn; ch != nil && !ch.committing {
-		if ch.wantLeave.Any() {
-			r.tryLeaves()
-		}
-		r.checkChurnInvariant()
+	n := &r.nodes[id]
+	r.census.hold(id, n.HasToken(), n.Epoch())
+	if ch := r.churn; ch != nil && !ch.committing && ch.wantLeave.Any() {
+		r.tryLeaves()
 	}
-}
-
-// anyDead reports whether any node has been killed (crashes may legitimately
-// lose or re-mint the token).
-func (r *Runner) anyDead() bool { return r.dead.Any() }
-
-// checkInvariant records the first violation of the single-token property,
-// using the incrementally maintained holder count. The check is disabled
-// once a node has been killed: a crash may take the token with it, and
-// recovery deliberately mints a replacement.
-func (r *Runner) checkInvariant() {
-	if r.invariantErr != nil || r.invariantOff {
-		return
-	}
-	if c := r.hasTok.Count() + r.inFlightToken; c != 1 {
-		if r.anyDead() {
-			return
-		}
-		r.invariantErr = fmt.Errorf("driver: token count %d at t=%d", c, r.eng.Now())
-	}
+	r.census.check(r.eng.Now())
 }
 
 // onGranted updates metrics and schedules the release after the critical
@@ -517,7 +460,9 @@ func (r *Runner) doRequest(node int) {
 
 // RunWorkload materializes count requests from gen, schedules them, and
 // runs the simulation until every request has been served (or maxTime is
-// hit). It returns the simulated end time.
+// hit). It returns the simulated end time, and an error unless every
+// request was served and the token census held to the end, with exactly
+// one token left.
 func (r *Runner) RunWorkload(gen workload.Generator, count int, maxTime sim.Time) (sim.Time, error) {
 	rng := sim.NewRNG(r.opts.Seed ^ 0xa5a5a5a5a5a5a5a5)
 	reqs := workload.Take(gen, rng, count)
@@ -537,7 +482,7 @@ func (r *Runner) RunWorkload(gen workload.Generator, count int, maxTime sim.Time
 			next = maxTime
 		}
 		r.eng.RunUntil(next)
-		if err := r.safetyErr(); err != nil {
+		if err := r.census.err; err != nil {
 			return r.eng.Now(), err
 		}
 		if r.Waits.Outstanding() == 0 && r.eng.Now() >= reqs[len(reqs)-1].At && !r.heldWork() {
@@ -548,7 +493,7 @@ func (r *Runner) RunWorkload(gen workload.Generator, count int, maxTime sim.Time
 		return r.eng.Now(), fmt.Errorf("driver: %d requests unserved at t=%d (variant %s)",
 			r.Waits.Outstanding(), r.eng.Now(), r.cfg.Variant)
 	}
-	return r.eng.Now(), r.safetyErr()
+	return r.eng.Now(), r.census.end(r.eng.Now())
 }
 
 // Result summarizes a run for the experiment harness.

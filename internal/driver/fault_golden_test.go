@@ -3,6 +3,7 @@ package driver_test
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 
 	"adaptivetoken/internal/driver"
@@ -23,7 +24,13 @@ var goldenFaultTraces = map[string]uint64{
 	"lossy/seed1":       0xf7b1f21330319fc9,
 	"lossy/seed2":       0x21c1f8a11bfb86a3,
 	"pause-storm/seed1": 0xa7db8ee39da45019,
-	"pause-storm/seed2": 0x0edf8b1349e164af,
+	"pause-storm/seed2": 0x19bf0e36cd987f51,
+}
+
+// goldenFaultErrs are the census verdicts golden runs end with; every other
+// run must succeed. TestFalseSuspicionSameEpochMint explains this one.
+var goldenFaultErrs = map[string]string{
+	"pause-storm/seed2": "driver: 2 tokens in epoch 2 at t=900",
 }
 
 // faultScenario describes one golden fault shape over a 16-node ring.
@@ -31,10 +38,6 @@ type faultScenario struct {
 	name    string
 	variant protocol.Variant
 	plan    faults.Plan
-	// disarm drops the single-token invariant: recovery regeneration
-	// while the original holder is merely paused legitimately doubles the
-	// count until the stale token dies on its first post-resume hop.
-	disarm bool
 }
 
 func faultScenarios() []faultScenario {
@@ -67,40 +70,50 @@ func faultScenarios() []faultScenario {
 					{Node: 3, At: 1200, Dur: 250},
 				},
 			},
-			disarm: true,
 		},
 	}
 }
 
+// newFaultRun builds scenario sc's runner at seed under obs.
+func newFaultRun(t *testing.T, sc faultScenario, seed uint64, obs driver.Observer) *driver.Runner {
+	t.Helper()
+	cfg := protocol.Config{
+		Variant:         sc.variant,
+		N:               16,
+		TrapGC:          protocol.GCRotation,
+		ResearchTimeout: 120,
+		RecoveryTimeout: 150,
+	}
+	inj, err := faults.NewInjector(sc.plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := driver.New(cfg, driver.Options{Seed: seed, Observer: obs, Faults: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// faultWorkload is every fault scenario's request load.
+var faultWorkload = workload.Poisson{N: 16, MeanGap: 25}
+
 // TestFaultGoldenTrace pins the faulty-run observable behavior — held-queue
-// drain order, pause/resume fault events, re-search timing — to recorded
-// digests.
+// drain order, pause/resume fault events, re-search timing — and the census
+// verdict to recorded digests.
 func TestFaultGoldenTrace(t *testing.T) {
 	print := os.Getenv("GOLDEN_TRACE_PRINT") != ""
 	for _, sc := range faultScenarios() {
 		for _, seed := range []uint64{1, 2} {
 			key := fmt.Sprintf("%s/seed%d", sc.name, seed)
-			cfg := protocol.Config{
-				Variant:         sc.variant,
-				N:               16,
-				TrapGC:          protocol.GCRotation,
-				ResearchTimeout: 120,
-				RecoveryTimeout: 150,
-			}
-			inj, err := faults.NewInjector(sc.plan)
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
-			}
 			dig := newTraceDigest()
-			r, err := driver.New(cfg, driver.Options{Seed: seed, Observer: dig, Faults: inj})
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
+			r := newFaultRun(t, sc, seed, dig)
+			verdict := ""
+			if _, err := r.RunWorkload(faultWorkload, 200, 500_000); err != nil {
+				verdict = err.Error()
 			}
-			if sc.disarm {
-				r.DisarmInvariant()
-			}
-			if _, err := r.RunWorkload(workload.Poisson{N: cfg.N, MeanGap: 25}, 200, 500_000); err != nil {
-				t.Fatalf("%s: %v", key, err)
+			if want := goldenFaultErrs[key]; verdict != want {
+				t.Fatalf("%s: run ended with %q, want %q", key, verdict, want)
 			}
 			if print {
 				fmt.Printf("\t%q: %#016x,\n", key, dig.h)
@@ -114,6 +127,48 @@ func TestFaultGoldenTrace(t *testing.T) {
 				t.Errorf("%s: fault trace digest %#016x, want %#016x — held-queue or fault bookkeeping diverged", key, dig.h, want)
 			}
 		}
+	}
+}
+
+// tokenArrivals records the token-bearing deliveries at one node, with the
+// node's critical-section flag after each.
+type tokenArrivals struct {
+	r    *driver.Runner
+	node int
+	got  []string
+}
+
+func (a *tokenArrivals) OnStep(s driver.Step) {
+	if s.Kind == driver.StepDeliver && s.Node == a.node && s.Msg.Kind.Expensive() {
+		a.got = append(a.got, fmt.Sprintf("t=%d epoch=%d inCS=%v", s.At, s.Msg.Epoch, a.r.Node(a.node).InCS()))
+	}
+}
+
+func (*tokenArrivals) OnFault(driver.FaultEvent) {}
+
+// TestFalseSuspicionSameEpochMint pins the violation pause-storm/seed2 ends
+// with: a known limitation of §5 regeneration (DESIGN.md §11) that the census
+// exposes and this repository does not yet fix. Node 7 is paused over
+// [300, 900). The epoch-1 token is passed to it at t=555 and parks in its
+// held queue, so the recovery probes find no holder and node 0 mints epoch 2
+// at t=776 — a false suspicion. That token reaches node 7 at t=784 and parks
+// too. At resume node 7 is granted the epoch-1 token, and the epoch-2 token
+// arrives inside its critical section: adoptEpoch relabels the held token as
+// epoch 2, node 7 lends the newcomer to a trapped requester, and its release
+// passes the relabeled one. Two epoch-2 tokens are then in flight, and the
+// census trips at t=900.
+func TestFalseSuspicionSameEpochMint(t *testing.T) {
+	obs := &tokenArrivals{node: 7}
+	r := newFaultRun(t, faultScenarios()[1], 2, obs)
+	obs.r = r
+	_, err := r.RunWorkload(faultWorkload, 200, 900)
+	const want = "driver: 2 tokens in epoch 2 at t=900"
+	if err == nil || err.Error() != want || r.InvariantErr() != err {
+		t.Fatalf("run ended with %v (census %v), want %q", err, r.InvariantErr(), want)
+	}
+	last := []string{"t=900 epoch=1 inCS=true", "t=900 epoch=2 inCS=true"}
+	if n := len(obs.got); n < 2 || !reflect.DeepEqual(obs.got[n-2:], last) {
+		t.Fatalf("tokens arrived at node 7 as %q, want them to end %q", obs.got, last)
 	}
 }
 

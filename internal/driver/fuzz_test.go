@@ -11,14 +11,14 @@ import (
 
 // FuzzChurnSchedule decodes fuzz bytes into a bounded, always-valid churn
 // schedule — joins, graceful leaves and fail-stop crashes over an 8-node
-// ring booted with a partial view — and runs it under the per-epoch census.
+// ring booted with a partial view — and runs it under the token census.
 // The decoder keeps every schedule inside the engine's contract (node 0 is
 // never removed, at least two members survive, no node is re-admitted after
 // departing), so any failure is a churn-engine bug, not an invalid input:
 // after the last event a probe request from node 0 must be served (token
 // loss from a crash must be detected and repaired by the §5 recovery
-// election), the machine-checked per-epoch single-token census must stay
-// clean throughout, and exactly one token must remain once the run settles.
+// election), the token census must stay clean throughout, and exactly one
+// token must remain once the run settles.
 // Run open-ended with `go test -fuzz FuzzChurnSchedule ./internal/driver/`;
 // the seed corpus covers each op and some mixed bursts.
 func FuzzChurnSchedule(f *testing.F) {
@@ -117,7 +117,7 @@ func FuzzChurnSchedule(f *testing.F) {
 				next = maxTime
 			}
 			r.Engine().RunUntil(next)
-			if r.ChurnErr() != nil {
+			if r.InvariantErr() != nil {
 				break
 			}
 			if r.Waits.Outstanding() == 0 && r.Engine().Now() >= probeAt && !r.heldWork() {
@@ -129,11 +129,8 @@ func FuzzChurnSchedule(f *testing.F) {
 		if desc == "" {
 			desc = "(no events)"
 		}
-		if err := r.ChurnErr(); err != nil {
-			t.Fatalf("schedule [%s]: per-epoch census: %v", desc, err)
-		}
 		if err := r.InvariantErr(); err != nil {
-			t.Fatalf("schedule [%s]: invariant: %v", desc, err)
+			t.Fatalf("schedule [%s]: token census: %v", desc, err)
 		}
 		if out := r.Waits.Outstanding(); out != 0 {
 			t.Fatalf("schedule [%s]: probe request unserved at t=%d", desc, r.Engine().Now())

@@ -36,7 +36,7 @@ func TestRecoveryRegeneratesLostToken(t *testing.T) {
 	if r.Waits.Outstanding() != 0 {
 		t.Fatalf("%d requests still unserved after recovery window", r.Waits.Outstanding())
 	}
-	if got := r.Msgs.Get("recovery-probe"); got == 0 {
+	if got := r.Msgs.Snapshot()["recovery-probe"]; got == 0 {
 		t.Error("no recovery probes were sent")
 	}
 	// With the dead node still in the ring, rotation eventually hands the

@@ -207,14 +207,14 @@ func (in *Injector) OnMessage(expensive bool) Verdict {
 			switch a.Op {
 			case OpDrop:
 				v.Drop = true
-				in.stats.Inc("dropped")
+				in.stats.IncDropped()
 			case OpDup:
 				v.Dup = true
 				v.DupDelay = sim.Time(a.Delay)
-				in.stats.Inc("duplicated")
+				in.stats.IncDuplicated()
 			case OpDelay:
 				v.Delay = sim.Time(a.Delay)
-				in.stats.Inc("delayed")
+				in.stats.IncDelayed()
 			}
 		}
 		return v
@@ -228,19 +228,19 @@ func (in *Injector) OnMessage(expensive bool) Verdict {
 	if drop > 0 && in.rng.Float64() < drop {
 		v.Drop = true
 		in.record(Action{Seq: seq, Op: OpDrop})
-		in.stats.Inc("dropped")
+		in.stats.IncDropped()
 		return v
 	}
 	if dup > 0 && in.rng.Float64() < dup {
 		v.Dup = true
 		v.DupDelay = in.jitter()
 		in.record(Action{Seq: seq, Op: OpDup, Delay: int64(v.DupDelay)})
-		in.stats.Inc("duplicated")
+		in.stats.IncDuplicated()
 	}
 	if in.plan.JitterProb > 0 && in.rng.Float64() < in.plan.JitterProb {
 		v.Delay = 1 + sim.Time(in.rng.Intn(int(in.plan.JitterMax)))
 		in.record(Action{Seq: seq, Op: OpDelay, Delay: int64(v.Delay)})
-		in.stats.Inc("delayed")
+		in.stats.IncDelayed()
 	}
 	return v
 }

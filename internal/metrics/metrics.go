@@ -187,8 +187,7 @@ func (w *Waits) Hist() *Histogram { return &w.hist }
 // Fast counter slots: the protocol message kinds plus the host's fault
 // counters, laid out in a fixed array so the per-dispatch increment on the
 // simulation hot path is an array index, not a map probe on a formatted
-// string. The map view (Snapshot/Kinds/Get) is kept for reporting; counts
-// for kinds outside the known set overflow into a string-keyed map.
+// string. Snapshot is the map view for reporting.
 const (
 	slotToken = iota
 	slotTokenReturn
@@ -213,15 +212,6 @@ var slotNames = [numSlots]string{
 	"dropped", "duplicated", "delayed",
 }
 
-// slotIndex inverts slotNames.
-var slotIndex = func() map[string]int {
-	m := make(map[string]int, numSlots)
-	for i, name := range slotNames {
-		m[name] = i
-	}
-	return m
-}()
-
 // KindSlot resolves a protocol message kind number (protocol.MsgKind's
 // underlying value) to its fast slot, or -1. Defined here so the metrics
 // package stays import-free of internal/protocol; internal/host wraps it
@@ -242,9 +232,6 @@ func KindSlot(kind int) int {
 // Messages counts protocol messages by kind.
 type Messages struct {
 	slots [numSlots]int64
-	// extra holds counts for kinds outside the fast set (unknown or
-	// test-invented kinds); allocated on first use.
-	extra map[string]int64
 }
 
 // NewMessages returns an empty counter set.
@@ -267,36 +254,10 @@ func (m *Messages) IncDuplicated() { m.slots[slotDuplicated]++ }
 // IncDelayed counts one fault-delayed message.
 func (m *Messages) IncDelayed() { m.slots[slotDelayed]++ }
 
-// Inc adds one message of the given kind.
-func (m *Messages) Inc(kind string) { m.Add(kind, 1) }
-
-// Add adds n messages of the given kind.
-func (m *Messages) Add(kind string, n int64) {
-	if i, ok := slotIndex[kind]; ok {
-		m.slots[i] += n
-		return
-	}
-	if m.extra == nil {
-		m.extra = make(map[string]int64)
-	}
-	m.extra[kind] += n
-}
-
-// Get returns the count for kind.
-func (m *Messages) Get(kind string) int64 {
-	if i, ok := slotIndex[kind]; ok {
-		return m.slots[i]
-	}
-	return m.extra[kind]
-}
-
 // Total returns the count over all kinds.
 func (m *Messages) Total() int64 {
 	var t int64
 	for _, v := range m.slots {
-		t += v
-	}
-	for _, v := range m.extra {
 		t += v
 	}
 	return t
@@ -305,14 +266,11 @@ func (m *Messages) Total() int64 {
 // Snapshot returns a copy of the per-kind counts, safe to retain and
 // mutate. Used by the driver's Summarize and the fault layer's stats.
 func (m *Messages) Snapshot() map[string]int64 {
-	out := make(map[string]int64, numSlots+len(m.extra))
+	out := make(map[string]int64, numSlots)
 	for i, v := range m.slots {
 		if v != 0 {
 			out[slotNames[i]] = v
 		}
-	}
-	for k, v := range m.extra {
-		out[k] = v
 	}
 	return out
 }
@@ -326,28 +284,20 @@ type KindCount struct {
 // SnapshotSorted returns the per-kind counts as a slice sorted by kind
 // name — the deterministic counterpart of Snapshot for every output that
 // gets diffed (golden traces, bench JSON, the Prometheus exporter).
-// Allocation is bounded: exactly one slice, sized up front; the fast slots
-// arrive pre-sorted (slotOrder) so the sort only runs when string-keyed
-// extras are present.
+// Allocation is bounded: exactly one slice, sized up front; the slots are
+// visited in slotOrder, so nothing is sorted.
 func (m *Messages) SnapshotSorted() []KindCount {
-	out := make([]KindCount, 0, numSlots+len(m.extra))
+	out := make([]KindCount, 0, numSlots)
 	for _, i := range slotOrder {
 		if v := m.slots[i]; v != 0 {
 			out = append(out, KindCount{Kind: slotNames[i], Count: v})
 		}
 	}
-	if len(m.extra) > 0 {
-		for k, v := range m.extra {
-			out = append(out, KindCount{Kind: k, Count: v})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
-	}
 	return out
 }
 
 // slotOrder lists the fast slots by ascending slot name, precomputed so
-// SnapshotSorted emits sorted output without sorting in the common
-// (no-extras) case.
+// SnapshotSorted emits sorted output without sorting.
 var slotOrder = func() [numSlots]int {
 	var ord [numSlots]int
 	for i := range ord {
@@ -365,21 +315,6 @@ func SlotKinds() []string {
 	for i, idx := range slotOrder {
 		out[i] = slotNames[idx]
 	}
-	return out
-}
-
-// Kinds returns the kinds seen, sorted.
-func (m *Messages) Kinds() []string {
-	out := make([]string, 0, numSlots+len(m.extra))
-	for i, v := range m.slots {
-		if v != 0 {
-			out = append(out, slotNames[i])
-		}
-	}
-	for k := range m.extra {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -173,18 +174,18 @@ func TestWaits(t *testing.T) {
 
 func TestMessages(t *testing.T) {
 	m := NewMessages()
-	m.Inc("token")
-	m.Inc("token")
-	m.Add("search", 5)
-	if m.Get("token") != 2 || m.Get("search") != 5 || m.Get("nope") != 0 {
-		t.Error("counts broken")
+	m.IncSlot(KindSlot(1)) // MsgToken
+	m.IncSlot(KindSlot(1))
+	for i := 0; i < 5; i++ {
+		m.IncSlot(KindSlot(3)) // MsgSearch
 	}
-	if m.Total() != 7 {
+	m.IncSlot(KindSlot(102)) // MsgElect: no slot, not counted
+	m.IncDropped()
+	if got := m.Snapshot(); !reflect.DeepEqual(got, map[string]int64{"token": 2, "search": 5, "dropped": 1}) {
+		t.Errorf("snapshot = %v", got)
+	}
+	if m.Total() != 8 {
 		t.Errorf("total = %d", m.Total())
-	}
-	kinds := m.Kinds()
-	if len(kinds) != 2 || kinds[0] != "search" || kinds[1] != "token" {
-		t.Errorf("kinds = %v", kinds)
 	}
 }
 

@@ -7,11 +7,12 @@ import (
 
 func TestSnapshotSortedMatchesSnapshot(t *testing.T) {
 	m := NewMessages()
-	m.Inc("token")
-	m.Add("search", 41)
-	m.Inc("search")
+	m.IncSlot(slotToken)
+	for i := 0; i < 42; i++ {
+		m.IncSlot(slotSearch)
+	}
 	m.IncDropped()
-	m.Add("custom-kind", 7) // lands in the extra map
+	m.IncDelayed()
 
 	snap := m.Snapshot()
 	sorted := m.SnapshotSorted()
@@ -30,8 +31,8 @@ func TestSnapshotSortedMatchesSnapshot(t *testing.T) {
 
 func TestSnapshotSortedAllocBounded(t *testing.T) {
 	m := NewMessages()
-	for _, k := range SlotKinds() {
-		m.Inc(k)
+	for i := 0; i < numSlots; i++ {
+		m.IncSlot(i)
 	}
 	// One slice allocation per call; the fast slots need no sort and no
 	// per-entry allocation.

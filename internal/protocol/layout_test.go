@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"unsafe"
-
-	"adaptivetoken/internal/ring"
 )
 
 // TestNodeLayout pins the sizes a 10⁶-node ring multiplies: the node itself
@@ -89,16 +87,15 @@ func TestColdStateAllocatedOnFirstRealWrite(t *testing.T) {
 	}
 }
 
-// TestSuccMatchesRing: Node carries no ring.Ring of its own any more; its
-// successor step has to be ring.Ring.Succ, wraps and negative steps included.
+// TestSuccMatchesRing: a node's successor step is the paper's x^{+k}, the
+// residue of x+k modulo N, wraps and negative steps included.
 func TestSuccMatchesRing(t *testing.T) {
 	for _, size := range []int{1, 2, 7, 64} {
-		rg := ring.MustNew(size)
 		n := newNode(t, 0, Config{Variant: RingToken, N: size})
 		for id := 0; id < size; id++ {
 			for k := -3 * size; k <= 3*size; k++ {
-				if got, want := n.succ(id, k), rg.Succ(id, k); got != want {
-					t.Fatalf("N=%d: succ(%d, %d) = %d, ring says %d", size, id, k, got, want)
+				if got, want := n.succ(id, k), ((id+k)%size+size)%size; got != want {
+					t.Fatalf("N=%d: succ(%d, %d) = %d, want %d", size, id, k, got, want)
 				}
 			}
 		}

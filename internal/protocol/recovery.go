@@ -12,8 +12,12 @@ package protocol
 // possession within the decision window, the requester regenerates the
 // token under a higher epoch; tokens of older epochs are discarded on
 // sight. As in the paper, safety of regeneration relies on the timeout
-// being a faithful failure detector — a live-but-slow holder would briefly
-// coexist with the regenerated token until its stale epoch is dropped.
+// being a faithful failure detector. A live-but-slow node breaks it: a
+// stale token that reaches a node already holding the regenerated one is
+// dropped, but a fresh token that reaches a node still holding the stale
+// one makes adoptEpoch relabel the held token as current, and two tokens
+// of one epoch then circulate (driver TestFalseSuspicionSameEpochMint;
+// DESIGN.md §11).
 
 // Recovery message kinds and timer, extending the core sets in protocol.go.
 const (

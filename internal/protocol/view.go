@@ -91,8 +91,8 @@ func (n *Node) view() *bitset.Set {
 	return nil
 }
 
-// succ is ring.Ring.Succ over this node's ring — the k-th successor of id,
-// k of either sign — without a ring.Ring (a copy of cfg.N) in every node.
+// succ is the paper's id^{+k} over this node's ring — the k-th successor of
+// id, k of either sign: id+k modulo cfg.N.
 func (n *Node) succ(id, k int) int {
 	m := id + k
 	if uint(m) < uint(n.cfg.N) {
@@ -138,7 +138,7 @@ func (n *Node) nextLive(id int) int {
 }
 
 // succLive returns the k-th live successor of id (negative k walks
-// predecessors), the live-ring analogue of ring.Succ.
+// predecessors), the live-ring analogue of succ.
 func (n *Node) succLive(id, k int) int {
 	v := n.view()
 	if v == nil {
@@ -164,11 +164,11 @@ func (n *Node) succLive(id, k int) int {
 	return cur
 }
 
-// halfLive is ring.HalfWindow over the live member count.
+// halfLive is the initial binary-search window ⌈n/2⌉ over the live member
+// count.
 func (n *Node) halfLive() int { return (n.liveCount() + 1) / 2 }
 
-// acrossLive is ring.Across over the live ring: the live member halfway
-// around from id.
+// acrossLive is the live member halfway around from id.
 func (n *Node) acrossLive(id int) int { return n.succLive(id, n.halfLive()) }
 
 // liveMin returns the lowest-numbered live member — the deterministic

@@ -59,7 +59,7 @@ type Config struct {
 
 // Cluster is K independent shard rings plus the router that partitions the
 // keyspace over them. Shards share nothing — no state, no RNG, no event
-// queue — which is what makes the per-shard census argument compositional
+// queue — so each shard's own token census is the whole safety argument
 // (DESIGN.md §12).
 type Cluster struct {
 	cfg     Config
@@ -181,9 +181,10 @@ func (s *script) Next(_ *sim.RNG, _ sim.Time) (workload.Request, bool) {
 }
 
 // Run drives shard k through its routed request list using the standard
-// driver workload loop, returning the shard's simulated end time. Shards
-// are independent; calls for different shards may run on different
-// goroutines.
+// driver workload loop, returning the shard's simulated end time. The
+// driver's token census holds the shard to exactly one token of its own
+// ring, and a violation comes back named "shard k:". Shards are
+// independent; calls for different shards may run on different goroutines.
 func (c *Cluster) Run(k int, reqs []workload.Request, maxTime sim.Time) (sim.Time, error) {
 	end, err := c.runners[k].RunWorkload(&script{reqs: reqs}, len(reqs), maxTime)
 	if err != nil {
@@ -216,8 +217,7 @@ func (c *Cluster) workers() int {
 // results land in shard order, only shards that completed cleanly are
 // summarized (a failed shard leaves a zero Result), the error aggregates
 // every failed shard via errors.Join — each already named "shard k:" by Run
-// — instead of first-error-wins, and the cross-shard Census runs only after
-// all workers have joined, over a quiescent cluster.
+// — instead of first-error-wins.
 func (c *Cluster) RunSplit(per [][]workload.Request, maxTime sim.Time) ([]driver.Result, error) {
 	if len(per) != c.cfg.Shards {
 		return nil, fmt.Errorf("shard: %d request lists for %d shards", len(per), c.cfg.Shards)
@@ -256,26 +256,7 @@ func (c *Cluster) RunSplit(per [][]workload.Request, maxTime sim.Time) ([]driver
 		}
 		wg.Wait()
 	}
-	if err := errors.Join(errs...); err != nil {
-		return out, err
-	}
-	return out, c.Census()
-}
-
-// Census machine-checks the single-token invariant of every shard
-// independently: shard k must hold exactly one token of its own ring and a
-// clean per-shard invariant trace. A fault confined to shard A can
-// therefore never be masked by — or blamed on — shard B.
-func (c *Cluster) Census() error {
-	for k, r := range c.runners {
-		if err := r.InvariantErr(); err != nil {
-			return fmt.Errorf("shard %d census: %w", k, err)
-		}
-		if n := r.TokenCount(); n != 1 {
-			return fmt.Errorf("shard %d census: %d tokens in ring", k, n)
-		}
-	}
-	return nil
+	return out, errors.Join(errs...)
 }
 
 // Schedules returns every shard's recorded fault schedule, indexed by

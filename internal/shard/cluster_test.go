@@ -51,8 +51,8 @@ func TestOneShardParity(t *testing.T) {
 }
 
 // TestMultiShardRun checks that a multi-shard cluster serves the full
-// aggregate workload, routes every request to its key's shard, and passes
-// the per-shard census.
+// aggregate workload and routes every request to its key's shard; RunAll
+// fails unless every shard's census holds.
 func TestMultiShardRun(t *testing.T) {
 	const shards, nodes, requests = 4, 8, 600
 	c, err := NewCluster(Config{Shards: shards, Nodes: nodes, Protocol: binsearchCfg(nodes), Seed: 3})
@@ -87,9 +87,6 @@ func TestMultiShardRun(t *testing.T) {
 	}
 	if grants != issued {
 		t.Fatalf("grants %d != issued %d", grants, issued)
-	}
-	if err := c.Census(); err != nil {
-		t.Fatal(err)
 	}
 }
 

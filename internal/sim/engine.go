@@ -20,25 +20,16 @@
 // after the handler returns, by index. See DESIGN.md §8 ("Allocation
 // discipline": slot hygiene, copy discipline).
 //
-// Ordering is maintained by one of two schedulers (see DESIGN.md §10):
-//
-//   - SchedulerWheel (the default): a timing wheel of wheelSize buckets
-//     indexed by at&wheelMask for events inside the horizon [now, now+W) —
-//     the paper's cost model puts nearly every event at now+1, which the
-//     wheel schedules and pops in O(1) — backed by a far-future overflow
-//     min-heap that cascades into the wheel as the clock advances.
-//   - SchedulerHeap: the flat 4-ary min-heap of (at, seq, slot) keys from
-//     the PR 4 zero-alloc rewrite, kept as the reference scheduler the
-//     equivalence and fuzz tests run the wheel against.
-//
-// Both produce the exact same (at, seq) total order — equal-time FIFO — so
-// golden traces, experiment tables and sim_events counts are identical under
-// either.
+// Ordering is a timing wheel of wheelSize buckets indexed by at&wheelMask
+// for events inside the horizon [now, now+W) — the paper's cost model puts
+// nearly every event at now+1, which the wheel schedules and pops in O(1) —
+// backed by a far-future overflow 4-ary min-heap of (at, seq, slot) keys
+// that cascades into the wheel as the clock advances (DESIGN.md §10). The
+// order is (at, seq): equal-time FIFO.
 package sim
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 
 	"adaptivetoken/internal/protocol"
@@ -59,31 +50,6 @@ type Handler interface {
 	FireTimer(node int, tm protocol.Timer)
 }
 
-// Scheduler selects the engine's event-ordering structure.
-type Scheduler uint8
-
-const (
-	// SchedulerWheel is the timing wheel with far-future overflow heap:
-	// O(1) schedule and pop for events inside the wheel horizon, which in
-	// the paper's unit-delay cost model is nearly every event.
-	SchedulerWheel Scheduler = iota
-	// SchedulerHeap is the flat 4-ary min-heap: O(log n) schedule and pop,
-	// kept as the reference scheduler for equivalence testing.
-	SchedulerHeap
-)
-
-// String names the scheduler (test and benchmark sub-names).
-func (s Scheduler) String() string {
-	switch s {
-	case SchedulerWheel:
-		return "wheel"
-	case SchedulerHeap:
-		return "heap"
-	default:
-		return fmt.Sprintf("scheduler(%d)", uint8(s))
-	}
-}
-
 // eventOp discriminates the typed event records.
 type eventOp uint8
 
@@ -100,7 +66,7 @@ const (
 // eventRec is one scheduled event's payload, stored by value in the slab.
 // Exactly one of the op-specific fields is meaningful. next chains records
 // into a timing-wheel bucket (stored as slab index + 1 so the zero value
-// means end-of-chain); the heap scheduler ignores it.
+// means end-of-chain); the overflow heap ignores it.
 type eventRec struct {
 	op   eventOp
 	node int32
@@ -110,10 +76,9 @@ type eventRec struct {
 	tm   protocol.Timer
 }
 
-// heapEntry is the ordering key of one pending event: fire time, FIFO
+// heapEntry is the ordering key of one far-future event: fire time, FIFO
 // tie-breaker, and the slab slot holding its payload. Keeping the key small
-// (24 bytes) makes heap sifts cheap; the fat payload never moves. The wheel
-// scheduler uses the same keys for its far-future overflow heap.
+// (24 bytes) makes overflow-heap sifts cheap; the fat payload never moves.
 type heapEntry struct {
 	at  Time
 	seq uint64
@@ -123,14 +88,10 @@ type heapEntry struct {
 // Engine is a discrete-event simulator: a scheduler of timestamped typed
 // events and a virtual clock.
 type Engine struct {
-	now   Time
-	sched Scheduler
+	now Time
 
-	// SchedulerHeap state: every pending event's key.
-	heap []heapEntry // 4-ary min-heap on (at, seq)
-
-	// SchedulerWheel state. Buckets are intrusive FIFO chains through the
-	// slab (eventRec.next), one per slot; slot s holds the unique time t in
+	// Buckets are intrusive FIFO chains through the slab (eventRec.next),
+	// one per slot; slot s holds the unique time t in
 	// [now, now+wheelSize) with t&wheelMask == s. occ is the slot-occupancy
 	// bitmap the next-event scan runs over; overflow holds events at or
 	// beyond the horizon, cascaded in by advance. All indices in head/tail
@@ -149,27 +110,16 @@ type Engine struct {
 	handler Handler
 }
 
-// NewEngine returns an engine with its clock at zero, randomness seeded by
-// seed, and the default timing-wheel scheduler.
+// NewEngine returns an engine with its clock at zero and randomness seeded
+// by seed.
 func NewEngine(seed uint64) *Engine {
-	return NewEngineScheduler(seed, SchedulerWheel)
-}
-
-// NewEngineScheduler returns an engine using the given event scheduler.
-// SchedulerWheel is the production default; SchedulerHeap is the reference
-// the equivalence tests compare against.
-func NewEngineScheduler(seed uint64, sched Scheduler) *Engine {
-	e := &Engine{rng: NewRNG(seed), sched: sched}
-	if sched == SchedulerWheel {
-		e.wheelHead = make([]int32, wheelSize)
-		e.wheelTail = make([]int32, wheelSize)
-		e.occ = make([]uint64, wheelSize/64)
+	return &Engine{
+		rng:       NewRNG(seed),
+		wheelHead: make([]int32, wheelSize),
+		wheelTail: make([]int32, wheelSize),
+		occ:       make([]uint64, wheelSize/64),
 	}
-	return e
 }
-
-// Scheduler reports which event scheduler the engine runs on.
-func (e *Engine) Scheduler() Scheduler { return e.sched }
 
 // SetHandler installs the consumer of typed message/timer events. It must
 // be set before the first AtMessage/AtTimer call.
@@ -186,9 +136,6 @@ func (e *Engine) Events() int { return e.events }
 
 // Pending returns the number of scheduled, not yet executed events.
 func (e *Engine) Pending() int {
-	if e.sched == SchedulerHeap {
-		return len(e.heap)
-	}
 	return e.wheelLen + len(e.overflow)
 }
 
@@ -217,17 +164,12 @@ func (e *Engine) Reserve(n int) {
 	e.recs = slices.Grow(e.recs, max(0, n-len(e.free)))
 }
 
-// schedule keys slab slot idx at time t in the active scheduler. Equal-time
-// events dispatch in schedule order: the heap breaks ties on seq, the wheel
-// appends to a FIFO bucket (and its overflow cascades in (at, seq) order
-// strictly before any same-time direct append can happen — see DESIGN.md
-// §10 for the ordering argument).
+// schedule keys slab slot idx at time t. Equal-time events dispatch in
+// schedule order: the wheel appends to a FIFO bucket, and its overflow
+// cascades in (at, seq) order strictly before any same-time direct append
+// can happen — see DESIGN.md §10 for the ordering argument.
 func (e *Engine) schedule(t Time, idx int32) {
 	e.seq++
-	if e.sched == SchedulerHeap {
-		heapPush(&e.heap, heapEntry{at: t, seq: e.seq, idx: idx})
-		return
-	}
 	if t < e.now+wheelSize {
 		e.wheelLink(int(t)&wheelMask, idx)
 	} else {
@@ -345,15 +287,6 @@ func (e *Engine) dispatch(idx int32) {
 // Step executes the earliest pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if e.sched == SchedulerHeap {
-		if len(e.heap) == 0 {
-			return false
-		}
-		top := heapPop(&e.heap)
-		e.now = top.at
-		e.dispatch(top.idx)
-		return true
-	}
 	s := int(e.now) & wheelMask
 	if e.wheelHead[s] == 0 {
 		t, ok := e.nextAt()
@@ -371,25 +304,12 @@ func (e *Engine) Step() bool {
 // drains. Events scheduled exactly at limit still run. It returns the
 // number of events executed.
 //
-// Under the wheel scheduler this is the batch-dispatch hot path: each
-// same-timestamp bucket drains as one back-to-back sweep — no scheduler
-// consultation between events — and events a handler schedules at the
-// current time join the tail of the sweep, exactly where the (at, seq)
-// order puts them.
+// This is the batch-dispatch hot path: each same-timestamp bucket drains
+// as one back-to-back sweep — no scheduler consultation between events —
+// and events a handler schedules at the current time join the tail of the
+// sweep, exactly where the (at, seq) order puts them.
 func (e *Engine) RunUntil(limit Time) int {
 	n := 0
-	if e.sched == SchedulerHeap {
-		for len(e.heap) > 0 && e.heap[0].at <= limit {
-			top := heapPop(&e.heap)
-			e.now = top.at
-			e.dispatch(top.idx)
-			n++
-		}
-		if e.now < limit {
-			e.now = limit
-		}
-		return n
-	}
 	for {
 		t, ok := e.nextAt()
 		if !ok || t > limit {
@@ -420,8 +340,8 @@ func (e *Engine) Drain(maxEvents int) int {
 	return n
 }
 
-// entryLess is the scheduler order: fire time, then scheduling order (FIFO
-// at equal times).
+// entryLess is the event order: fire time, then scheduling order (FIFO at
+// equal times).
 func entryLess(a, b heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -429,8 +349,7 @@ func entryLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// heapPush appends entry and sifts it up the 4-ary heap. Shared by the heap
-// scheduler (all events) and the wheel's far-future overflow.
+// heapPush appends entry and sifts it up the 4-ary overflow heap.
 func heapPush(hp *[]heapEntry, entry heapEntry) {
 	*hp = append(*hp, entry)
 	h := *hp

@@ -67,25 +67,20 @@ func BenchmarkEngineClosureEvent(b *testing.B) {
 // BenchmarkEngineUnitDelay models the paper's cost model distribution: a
 // deep backlog (1024 pending events) where every new event lands at now+1 —
 // unit message delay, the case the timing wheel turns from an O(log n) sift
-// into an O(1) bucket append. Sub-benchmarks compare the two schedulers on
-// identical work; run with -benchmem (budget 0 B/op for both).
+// into an O(1) bucket append. Run with -benchmem (budget 0 B/op).
 func BenchmarkEngineUnitDelay(b *testing.B) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		b.Run(sched.String(), func(b *testing.B) {
-			e := NewEngineScheduler(1, sched)
-			h := &nullHandler{}
-			e.SetHandler(h)
-			m := protocol.Message{Kind: protocol.MsgToken, From: 0, To: 1}
-			for i := 0; i < 1024; i++ {
-				e.AfterMessage(1, m)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.AfterMessage(1, m)
-				e.Step()
-			}
-		})
+	e := NewEngine(1)
+	h := &nullHandler{}
+	e.SetHandler(h)
+	m := protocol.Message{Kind: protocol.MsgToken, From: 0, To: 1}
+	for i := 0; i < 1024; i++ {
+		e.AfterMessage(1, m)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.AfterMessage(1, m)
+		e.Step()
 	}
 }
 
@@ -94,23 +89,19 @@ func BenchmarkEngineUnitDelay(b *testing.B) {
 // broadcast round produces. Reported time is per 1024-event batch.
 func BenchmarkEngineSameTimestampBatch(b *testing.B) {
 	const batch = 1024
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		b.Run(sched.String(), func(b *testing.B) {
-			e := NewEngineScheduler(1, sched)
-			h := &nullHandler{}
-			e.SetHandler(h)
-			m := protocol.Message{Kind: protocol.MsgSearch}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < batch; j++ {
-					e.AfterMessage(1, m)
-				}
-				e.RunUntil(e.Now() + 1)
-			}
-			b.ReportMetric(batch, "events/op")
-		})
+	e := NewEngine(1)
+	h := &nullHandler{}
+	e.SetHandler(h)
+	m := protocol.Message{Kind: protocol.MsgSearch}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < batch; j++ {
+			e.AfterMessage(1, m)
+		}
+		e.RunUntil(e.Now() + 1)
 	}
+	b.ReportMetric(batch, "events/op")
 }
 
 // BenchmarkEngineHeapChurn keeps a deep heap (1024 pending events) while

@@ -86,11 +86,12 @@ func TestSlabSlotsClearedOnRecycle(t *testing.T) {
 }
 
 // fanOutHandler schedules burst messages from inside the Arrive of the first
-// one it sees (Hops 0), which grows the slab under the event being
-// dispatched.
+// one it sees (Hops 0), delay ahead, which grows the slab under the event
+// being dispatched.
 type fanOutHandler struct {
 	e     *Engine
 	burst int
+	delay Time
 	got   []protocol.Message
 }
 
@@ -100,7 +101,7 @@ func (h *fanOutHandler) Arrive(m protocol.Message) {
 		return
 	}
 	for i := 1; i <= h.burst; i++ {
-		h.e.AfterMessage(1, protocol.Message{
+		h.e.AfterMessage(h.delay, protocol.Message{
 			Kind:   protocol.MsgToken,
 			Hops:   i,
 			Attach: "child",
@@ -115,14 +116,19 @@ func (h *fanOutHandler) FireTimer(int, protocol.Timer) {}
 // after the handler returns, by index. So a handler that grows the slab still
 // gets its message intact, nothing it schedules lands in the slot being
 // dispatched (the clearing afterwards would wipe it), and the slot ends up on
-// the free-list once, cleared.
+// the free-list once, cleared. The "wheel" case keeps every event inside the
+// wheel horizon; the "heap" case puts every one beyond it, so each passes
+// through the overflow heap and cascades in.
 func TestDispatchInPlaceAcrossSlabGrowth(t *testing.T) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		t.Run(sched.String(), func(t *testing.T) {
-			e := NewEngineScheduler(1, sched)
-			h := &fanOutHandler{e: e, burst: 100}
+	for _, tc := range []struct {
+		name  string
+		delay Time
+	}{{"wheel", 1}, {"heap", wheelSize}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(1)
+			h := &fanOutHandler{e: e, burst: 100, delay: tc.delay}
 			e.SetHandler(h)
-			_ = e.AtMessage(1, protocol.Message{
+			_ = e.AtMessage(tc.delay, protocol.Message{
 				Kind:   protocol.MsgToken,
 				Attach: "root",
 				Served: []protocol.ServedRec{{Requester: 7, ReqSeq: 9}},

@@ -116,36 +116,40 @@ func TestWheelBatchDispatchSameTimeAppend(t *testing.T) {
 	}
 }
 
-// The heap scheduler must hold the same steady-state zero-allocation bar as
-// the wheel (which TestEngineSteadyStateAllocFree covers via the default).
+// Far-future events take the overflow heap and cascade into the wheel; that
+// path must hold the same steady-state zero-allocation bar as the in-horizon
+// one (which TestEngineSteadyStateAllocFree covers).
 func TestEngineSteadyStateAllocFreeHeap(t *testing.T) {
-	e := NewEngineScheduler(1, SchedulerHeap)
+	e := NewEngine(1)
 	h := &recordingHandler{}
 	e.SetHandler(h)
 	m := protocol.Message{Kind: protocol.MsgToken, From: 0, To: 1}
 	tm := protocol.Timer{Kind: protocol.TimerHold, Gen: 1}
 
 	for i := 0; i < 64; i++ {
-		e.AfterMessage(1, m)
-		e.AfterTimer(1, 0, tm)
+		e.AfterMessage(wheelSize, m)
+		e.AfterTimer(wheelSize, 0, tm)
 	}
 	e.Drain(1 << 20)
 	h.msgs, h.timers = h.msgs[:0], h.timers[:0]
 
 	allocs := testing.AllocsPerRun(200, func() {
-		e.AfterMessage(1, m)
-		e.AfterTimer(2, 0, tm)
+		e.AfterMessage(wheelSize, m)
+		e.AfterTimer(wheelSize+1, 0, tm)
+		if len(e.overflow) != 2 {
+			t.Fatalf("overflow holds %d events, want 2", len(e.overflow))
+		}
 		e.Drain(2)
 		h.msgs, h.timers = h.msgs[:0], h.timers[:0]
 	})
 	if allocs != 0 {
-		t.Fatalf("heap steady-state schedule+dispatch allocated %.1f/run, want 0", allocs)
+		t.Fatalf("overflow steady-state schedule+dispatch allocated %.1f/run, want 0", allocs)
 	}
 }
 
 // FuzzTimingWheel drives random schedule/Step/RunUntil interleavings through
-// both schedulers and checks the dispatch order against the reference stable
-// sort on (time, scheduling seq). Offsets span 0 (same-time FIFO) through
+// the engine and checks the dispatch order against the reference stable sort
+// on (time, scheduling seq). Offsets span 0 (same-time FIFO) through
 // several multiples of wheelSize, so scripts cross the horizon boundary and
 // exercise overflow scheduling and cascade-on-advance.
 func FuzzTimingWheel(f *testing.F) {
@@ -157,54 +161,48 @@ func FuzzTimingWheel(f *testing.F) {
 			at  Time
 			seq int
 		}
-		run := func(sched Scheduler) ([]protocol.Message, []ref, Time) {
-			e := NewEngineScheduler(1, sched)
-			h := &recordingHandler{}
-			e.SetHandler(h)
+		e := NewEngine(1)
+		h := &recordingHandler{}
+		e.SetHandler(h)
 
-			var want []ref
-			next := 0
-			for i := 0; i < len(script); i++ {
-				switch b := script[i]; b % 7 {
-				case 5:
-					e.Step()
-				case 6:
-					// A bounded time jump exercises advance + batch drain.
-					e.RunUntil(e.Now() + Time(b/7))
-				default:
-					// Offset class: 0/1 dense unit delays, 2 mid-range,
-					// 3 spans the horizon, 4 straddles it exactly.
-					var c byte
-					if i+1 < len(script) {
-						i++
-						c = script[i]
-					}
-					var off Time
-					switch b % 7 {
-					case 0, 1:
-						off = Time(b % 7)
-					case 2:
-						off = Time(c)
-					case 3:
-						off = Time(int(c) << 6)
-					default:
-						off = wheelSize - 2 + Time(int(c)%5)
-					}
-					at := e.Now() + off
-					_ = e.AtMessage(at, protocol.Message{Kind: protocol.MsgToken, Hops: next})
-					want = append(want, ref{at: at, seq: next})
-					next++
+		var want []ref
+		next := 0
+		for i := 0; i < len(script); i++ {
+			switch b := script[i]; b % 7 {
+			case 5:
+				e.Step()
+			case 6:
+				// A bounded time jump exercises advance + batch drain.
+				e.RunUntil(e.Now() + Time(b/7))
+			default:
+				// Offset class: 0/1 dense unit delays, 2 mid-range,
+				// 3 spans the horizon, 4 straddles it exactly.
+				var c byte
+				if i+1 < len(script) {
+					i++
+					c = script[i]
 				}
+				var off Time
+				switch b % 7 {
+				case 0, 1:
+					off = Time(b % 7)
+				case 2:
+					off = Time(c)
+				case 3:
+					off = Time(int(c) << 6)
+				default:
+					off = wheelSize - 2 + Time(int(c)%5)
+				}
+				at := e.Now() + off
+				_ = e.AtMessage(at, protocol.Message{Kind: protocol.MsgToken, Hops: next})
+				want = append(want, ref{at: at, seq: next})
+				next++
 			}
-			e.Drain(1 << 20)
-			if e.Pending() != 0 {
-				t.Fatalf("%v: pending %d after drain", sched, e.Pending())
-			}
-			return h.msgs, want, e.Now()
 		}
-
-		wheelMsgs, want, wheelNow := run(SchedulerWheel)
-		heapMsgs, _, heapNow := run(SchedulerHeap)
+		e.Drain(1 << 20)
+		if e.Pending() != 0 {
+			t.Fatalf("pending %d after drain", e.Pending())
+		}
 
 		// Reference order: stable sort by time keeps scheduling order at
 		// equal times. Events popped mid-script fired at their then-minimum,
@@ -212,25 +210,12 @@ func FuzzTimingWheel(f *testing.F) {
 		// non-negative (no later event can be scheduled before 'now').
 		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
 
-		if len(wheelMsgs) != len(want) {
-			t.Fatalf("wheel dispatched %d of %d events", len(wheelMsgs), len(want))
+		if len(h.msgs) != len(want) {
+			t.Fatalf("dispatched %d of %d events", len(h.msgs), len(want))
 		}
-		for i, m := range wheelMsgs {
+		for i, m := range h.msgs {
 			if m.Hops != want[i].seq {
-				t.Fatalf("wheel position %d: got event %d, want %d (script %v)", i, m.Hops, want[i].seq, script)
-			}
-		}
-
-		// The two schedulers must be indistinguishable: same dispatch
-		// sequence, same final clock.
-		if len(heapMsgs) != len(wheelMsgs) || heapNow != wheelNow {
-			t.Fatalf("scheduler divergence: wheel %d events now=%d, heap %d events now=%d",
-				len(wheelMsgs), wheelNow, len(heapMsgs), heapNow)
-		}
-		for i := range wheelMsgs {
-			if wheelMsgs[i].Hops != heapMsgs[i].Hops {
-				t.Fatalf("scheduler divergence at %d: wheel event %d, heap event %d (script %v)",
-					i, wheelMsgs[i].Hops, heapMsgs[i].Hops, script)
+				t.Fatalf("position %d: got event %d, want %d (script %v)", i, m.Hops, want[i].seq, script)
 			}
 		}
 	})

@@ -4,9 +4,9 @@ package torture
 // independent rings of Scenario.N members behind the keyspace router —
 // with faults confined to the shards the mix marks faulty. Every shard has
 // its own injector, so dispatch sequences (the keys recorded schedules
-// replay by) are namespaced per shard, and the single-token census is
-// machine-checked per shard: a violation is attributed to the ring it
-// happened in, and a fault in shard A cannot perturb shard B at all.
+// replay by) are namespaced per shard, and each shard's driver runs its own
+// token census: a violation is attributed to the ring it happened in, and a
+// fault in shard A cannot perturb shard B at all.
 
 import (
 	"fmt"
@@ -44,7 +44,7 @@ func init() {
 		},
 		{
 			// Planted bug: duplicated token-bearing messages in shard 0.
-			// The per-shard census must fail and name shard 0.
+			// Shard 0's census must fail, and the error must name shard 0.
 			Name: "shard-dup-bug", Shards: 3, Unsafe: true,
 			Faulty: func(Scenario) []int { return []int{0} },
 			Plan: func(sc Scenario) faults.Plan {
@@ -146,10 +146,9 @@ func runShard(sc Scenario, mix Mix, replay []faults.Schedule) Report {
 	}
 
 	// RunSplit fans the shards across the pool and aggregates every failed
-	// shard's error (each named "shard k:") via errors.Join; the per-shard
-	// census runs only after all workers have joined. Grants are read after
-	// the join — failed shards still report the grants they made before
-	// tripping.
+	// shard's error (each named "shard k:") via errors.Join. Grants are read
+	// after the join — failed shards still report the grants they made
+	// before tripping.
 	if _, err := c.RunSplit(per, sim.Time(sc.MaxTime)); err != nil {
 		rep.Err = err
 	}

@@ -1,7 +1,7 @@
 // Package torture is the randomized fault-injection explorer: it sweeps
 // seeds × fault mixes × protocol variants, asserting on every run that
 //
-//   - the single-token safety invariant holds (driver check),
+//   - the driver's token census holds (single-token safety),
 //   - every issued request is eventually served (liveness), and
 //   - for the spec-modeled configurations, the execution trace is included
 //     in the corresponding TRS system (internal/conformance).
@@ -153,8 +153,8 @@ var mixes = map[string]Mix{
 	// from the scenario seed, driven through the fault plan so every event
 	// is recorded, replayed and ddmin-shrunk like any other fault. All of
 	// them run under the stutter-rule churn conformance checker, and the
-	// driver's per-epoch census machine-checks single-token safety on every
-	// applied step throughout.
+	// driver's token census checks single-token safety on every applied
+	// step throughout.
 	"join-storm": {
 		Name: "join-storm", Conformance: true, Churn: true,
 		Members: func(sc Scenario) []int { return joinStormInitial(sc) },
@@ -228,7 +228,7 @@ var mixes = map[string]Mix{
 	// every recovery decider mint locally, so when the bootstrap holder
 	// dies with the parked token and two suspicion timers decide in the
 	// same window, two tokens are minted under the SAME epoch — which the
-	// per-epoch census must catch on the very step the second mint applies.
+	// token census must catch on the very step the second mint applies.
 	// Sweeps never include it; the harness proves it catches, shrinks and
 	// replays the violation.
 	"churn-regen-bug": {
@@ -531,10 +531,6 @@ func Run(sc Scenario, replay *faults.Schedule) Report {
 	switch {
 	case err != nil:
 		rep.Err = err
-	case r.InvariantErr() != nil:
-		rep.Err = r.InvariantErr()
-	case r.ChurnErr() != nil:
-		rep.Err = r.ChurnErr()
 	case chk != nil:
 		if cerr := chk.Finish(); cerr != nil {
 			rep.Err = fmt.Errorf("torture: conformance: %w", cerr)
@@ -558,8 +554,8 @@ func injectorFor(sc Scenario, mix Mix, replay *faults.Schedule) (*faults.Injecto
 // nodes that survive to the end (a crash victim's requests are never
 // issued — they would die with it). One final probe request lands after
 // the last churn event so the run always exercises — and must re-commit —
-// a stable epoch after the final burst; per-epoch single-token safety is
-// machine-checked by the driver census on every applied step along the way.
+// a stable epoch after the final burst; the driver's token census checks
+// every applied step along the way.
 func runChurn(r *driver.Runner, sc Scenario, events []faults.ChurnEvent) error {
 	crashed := make(map[int]bool)
 	var lastChurn sim.Time
@@ -574,8 +570,8 @@ func runChurn(r *driver.Runner, sc Scenario, events []faults.ChurnEvent) error {
 
 // runCrash drives a crash-mix scenario: one seed-derived victim dies early,
 // requests from the other nodes must all still be served (via the §5
-// recovery extension if the token dies with the victim), and at most one
-// token may remain once the run settles.
+// recovery extension if the token dies with the victim), and exactly one
+// token must remain once the run settles.
 func runCrash(r *driver.Runner, sc Scenario) error {
 	victim := 1 + int(sc.Seed%uint64(sc.N-1)) // never node 0 (the bootstrapper)
 	killAt := sim.Time(10 + sc.Seed%30)
@@ -588,9 +584,10 @@ func runCrash(r *driver.Runner, sc Scenario) error {
 // serve issues the scenario's Poisson requests except from the nodes in
 // dead (a dead node never asks), runs the engine in 5,000-tick chunks until
 // every issued request is served and the clock has passed quiet, and then
-// demands that none is left unserved and at most one token remains. A
+// demands that none is left unserved and exactly one token remains. A
 // churn run also issues runChurn's probe request, 500 ticks after both the
-// last request and quiet, and stops early on a census violation.
+// last request and quiet. A census violation stops the run and is its
+// verdict.
 func serve(r *driver.Runner, sc Scenario, dead map[int]bool, quiet sim.Time, churn bool) error {
 	rng := sim.NewRNG(sc.Seed ^ 0xa5a5a5a5a5a5a5a5)
 	reqs := workload.Take(workload.Poisson{N: sc.N, MeanGap: sc.MeanGap}, rng, sc.Requests)
@@ -624,14 +621,14 @@ func serve(r *driver.Runner, sc Scenario, dead map[int]bool, quiet sim.Time, chu
 	maxTime := sim.Time(sc.MaxTime)
 	for r.Engine().Now() < maxTime {
 		r.Engine().RunUntil(min(r.Engine().Now()+5_000, maxTime))
-		if r.ChurnErr() != nil {
+		if r.InvariantErr() != nil {
 			break
 		}
 		if r.Waits.Outstanding() == 0 && r.Engine().Now() >= max(lastAt, quiet) {
 			break
 		}
 	}
-	if err := r.ChurnErr(); err != nil {
+	if err := r.InvariantErr(); err != nil {
 		return err
 	}
 	family, asked := "crash mix", "live requests"
@@ -642,7 +639,7 @@ func serve(r *driver.Runner, sc Scenario, dead map[int]bool, quiet sim.Time, chu
 		return fmt.Errorf("torture: %s: %d of %d %s unserved at t=%d",
 			family, out, issued, asked, r.Engine().Now())
 	}
-	if c := r.TokenCount(); c > 1 {
+	if c := r.TokenCount(); c != 1 {
 		return fmt.Errorf("torture: %s: %d tokens after settling", family, c)
 	}
 	return nil

@@ -96,7 +96,7 @@ func TestPlantedTokenDupCaughtShrunkReplayed(t *testing.T) {
 
 // The planted regeneration bug: with BuggyElection every recovery decider
 // mints locally, so two suspicion timers deciding in one window produce two
-// tokens under the SAME epoch. The per-epoch census catches it on the very
+// tokens under the SAME epoch. The token census catches it on the very
 // step the second mint applies; the counterexample shrinks to the single
 // crash event that kills the parked token (the clean plan has no other
 // fault actions), and the written artifact replays to the same violation.
@@ -113,7 +113,7 @@ func TestPlantedRegenBugCaughtShrunkReplayed(t *testing.T) {
 		}
 	}
 	if rep.Err == nil {
-		t.Fatal("planted regeneration bug never tripped the per-epoch census")
+		t.Fatal("planted regeneration bug never tripped the token census")
 	}
 	if !strings.Contains(rep.Err.Error(), "tokens in epoch") {
 		t.Fatalf("unexpected violation: %v", rep.Err)
