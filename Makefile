@@ -37,14 +37,17 @@ bench:
 # engine micro-benchmarks (0 B/op budget on the typed event paths, the
 # unit-delay and same-timestamp batch paths), the fig9 slice (B/op ÷
 # events/op = bytes/event) and the checked-in per-event budget of
-# internal/bench/alloc_budget.json. Throughput is BENCHMARK.json's
-# grants_per_s, not a test. See DESIGN.md §8/§10 and EXPERIMENTS.md
-# ("Allocation metrics", "Throughput").
+# internal/bench/alloc_budget.json, then the live path's pins: a
+# steady-state live grant (0 allocations under GCNone, at most 1 under
+# GCRotation) and the host's StepInto scratch path (0). Throughput is
+# BENCHMARK.json's grants_per_s, not a test. See DESIGN.md §8/§10 and
+# EXPERIMENTS.md ("Allocation metrics", "Throughput").
 bench-mem:
 	$(GO) test -run XXX -bench 'BenchmarkEngine' -benchmem ./internal/sim/
 	$(GO) test -run XXX -bench 'BenchmarkFig9Slice' -benchmem ./internal/bench/
 	$(GO) test -run 'TestAllocationBudget|TestEngineSteadyStateAllocFree|TestCompactToAllocFree' \
 		-v ./internal/bench/ ./internal/sim/ ./internal/history/
+	$(GO) test -run 'TestLiveGrantAllocs|TestStepIntoZeroAlloc' -v ./internal/core/ ./internal/host/
 
 # Randomized fault-injection torture sweep: 9 seeds × 9 fault mixes ×
 # 3 variants = 243 simulated scenarios (including the five churn families:

@@ -3,11 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"adaptivetoken/internal/faults"
+	"adaptivetoken/internal/mutex"
+	"adaptivetoken/internal/node"
 	"adaptivetoken/internal/protocol"
 )
 
@@ -221,10 +225,19 @@ func TestMutexTryLock(t *testing.T) {
 	c.Mutex(1).Unlock()
 }
 
-func TestLiveNodeTCPRing(t *testing.T) {
-	// Three-node TCP ring on loopback with dynamic ports.
-	n := 3
+// tcpRing starts an n-node TCP ring on loopback with dynamic ports; node 0
+// bootstraps the token. The nodes close when the test ends.
+func tcpRing(t *testing.T, n int, opts ...Option) []*LiveNode {
+	t.Helper()
+	opts = append([]Option{WithTimeUnit(100 * time.Microsecond), WithHoldIdle(2)}, opts...)
 	nodes := make([]*LiveNode, n)
+	t.Cleanup(func() {
+		for _, ln := range nodes {
+			if ln != nil {
+				ln.Close()
+			}
+		}
+	})
 	// First pass: everyone listens on :0 with placeholder peer addrs.
 	addrs := make([]string, n)
 	for i := range addrs {
@@ -234,18 +247,12 @@ func TestLiveNodeTCPRing(t *testing.T) {
 	for i := 0; i < n; i++ {
 		per := make([]string, n)
 		copy(per, addrs)
-		nodes[i], err = NewLiveNode(i, per, i == 0,
-			WithTimeUnit(100*time.Microsecond), WithHoldIdle(2))
+		nodes[i], err = NewLiveNode(i, per, i == 0, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		addrs[i] = nodes[i].Addr()
 	}
-	defer func() {
-		for _, ln := range nodes {
-			ln.Close()
-		}
-	}()
 	// Second pass: distribute the real addresses.
 	for i, ln := range nodes {
 		for j, a := range addrs {
@@ -257,7 +264,12 @@ func TestLiveNodeTCPRing(t *testing.T) {
 			}
 		}
 	}
+	return nodes
+}
 
+func TestLiveNodeTCPRing(t *testing.T) {
+	const n = 3
+	nodes := tcpRing(t, n)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i := 0; i < n; i++ {
@@ -270,5 +282,78 @@ func TestLiveNodeTCPRing(t *testing.T) {
 	}
 	if nodes[1].String() == "" {
 		t.Error("empty node string")
+	}
+}
+
+// TestLiveExclusionUnderDupAndDelay: one client per node locks concurrently
+// while the fault plan duplicates and delays cheap messages, on a channel
+// cluster and on a TCP ring. A duplicated message is two pooled boxes from
+// one Deliver and a delayed one is a box held across a timer, so this is
+// where a box freed twice or read after its free would show — under -race
+// as a data race, and otherwise through the witness counter, which fails the
+// test if two critical sections overlap. CI runs it with -race -count=10.
+func TestLiveExclusionUnderDupAndDelay(t *testing.T) {
+	const n = 4
+	opts := []Option{WithSeed(5), WithFaults(faults.Plan{DupCheap: 0.3, JitterProb: 0.3, JitterMax: 3})}
+	t.Run("chan", func(t *testing.T) {
+		c := newCluster(t, n, opts...)
+		rts, ms := make([]*node.Runtime, n), make([]*mutex.Mutex, n)
+		for i := range ms {
+			rts[i], ms[i] = c.Runtime(i), c.Mutex(i)
+		}
+		lockConcurrently(t, rts, ms)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		rts, ms := make([]*node.Runtime, n), make([]*mutex.Mutex, n)
+		for i, ln := range tcpRing(t, n, opts...) {
+			rts[i], ms[i] = ln.Runtime, ln.Mutex
+		}
+		lockConcurrently(t, rts, ms)
+	})
+}
+
+// lockConcurrently runs one goroutine per mutex, each taking its lock 20
+// times, and fails if two of them were ever inside at once, or if the
+// runtimes duplicated or delayed no message meanwhile.
+func lockConcurrently(t *testing.T, rts []*node.Runtime, ms []*mutex.Mutex) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var inside atomic.Int32
+	var overlaps atomic.Int64
+	var wg sync.WaitGroup
+	for i, m := range ms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				if err := m.Lock(ctx); err != nil {
+					t.Errorf("node %d lock %d: %v", i, k, err)
+					return
+				}
+				if inside.Add(1) != 1 {
+					overlaps.Add(1)
+				}
+				runtime.Gosched()
+				inside.Add(-1)
+				if err := m.Unlock(); err != nil {
+					t.Errorf("node %d unlock %d: %v", i, k, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d critical sections overlapped another", n)
+	}
+	faulted := map[string]int64{}
+	for _, rt := range rts {
+		for kind, n := range rt.MsgStats() {
+			faulted[kind] += n
+		}
+	}
+	if faulted["duplicated"] == 0 || faulted["delayed"] == 0 {
+		t.Fatalf("the fault plan never fired: %v", faulted)
 	}
 }

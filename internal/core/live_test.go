@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -64,6 +65,68 @@ func TestLiveConformanceAttachment(t *testing.T) {
 		t.Fatal("checker saw no steps — observer not attached to the live path")
 	}
 	t.Logf("conformance checked %d live steps", chk.Steps())
+}
+
+// TestLiveGrantAllocs pins what a steady-state live grant allocates on a
+// 4-node channel cluster, one client locking at nodes 0 and 2 in turn (the
+// benchmark's closed loop): nothing under GCNone, and under GCRotation at
+// most the one copy the satisfaction record takes when it updates a
+// requester it already holds. Requests, releases, grant signals and message
+// boxes all reuse what the runtime already has.
+//
+// Under -race, sync.Pool drops a quarter of its Puts at random, so a grant
+// here — 2.5 messages on average — boxes about 0.6 of them afresh: the pin
+// then allows one allocation more.
+func TestLiveGrantAllocs(t *testing.T) {
+	for _, c := range []struct {
+		gc  protocol.GCMode
+		max float64
+	}{{protocol.GCNone, 0}, {protocol.GCRotation, 1}} {
+		t.Run(c.gc.String(), func(t *testing.T) {
+			cl, err := NewCluster(4, WithTrapGC(c.gc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			k := 0
+			grant := func() {
+				m := cl.Mutex(2 * (k % 2))
+				k++
+				if err := m.Lock(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Unlock(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 1000; i++ {
+				grant()
+			}
+			max := c.max
+			if raceEnabled() {
+				max++
+			}
+			if n := testing.AllocsPerRun(2000, grant); n > max {
+				t.Fatalf("%v allocs per live grant, want <= %v", n, max)
+			}
+		})
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // TestLiveFaultScheduleSeedReproducible: two live runs with the same fault

@@ -100,3 +100,57 @@ func arriveZeroAlloc(t *testing.T, hooks Hooks) {
 		t.Fatalf("observer-off Arrive fast path allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestStepIntoZeroAlloc pins the observer-off StepInto path a live runtime's
+// requests and releases take: the state machine fills the host's scratch
+// buffer, so a grant cycle — request at the token's next stop, the token's
+// arrival granting it, the release passing it on — allocates nothing.
+func TestStepIntoZeroAlloc(t *testing.T) {
+	const n = 4
+	cfg := protocol.Config{Variant: protocol.RingToken, N: n}
+	nodes := make([]*protocol.Node, n)
+	for i := range nodes {
+		nd, err := protocol.New(i, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = nd
+	}
+	clk := &stubClock{}
+	net := &captureNet{}
+	grants := 0
+	h, err := New(Config{
+		Clock:   clk,
+		Network: net,
+		Machine: func(id int) *protocol.Node { return nodes[id] },
+		Hooks:   Hooks{Granted: func(int) { grants++ }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(kind StepKind, id int, fill func(*protocol.Effects)) {
+		h.StepInto(Step{At: clk.now, Kind: kind, Node: id}, fill)
+	}
+	step(StepBootstrap, 0, func(e *protocol.Effects) { nodes[0].GiveTokenInto(0, e) })
+	cycle := func() {
+		m := net.last
+		net.ok = false
+		clk.now++
+		now := protocol.Time(clk.now)
+		step(StepRequest, m.To, func(e *protocol.Effects) { nodes[m.To].RequestInto(now, e) })
+		h.Arrive(m)
+		step(StepRelease, m.To, func(e *protocol.Effects) { nodes[m.To].ReleaseInto(now, e) })
+		if !net.ok {
+			t.Fatal("release passed no token")
+		}
+	}
+	for i := 0; i < 2*n; i++ {
+		cycle()
+	}
+	if grants != 2*n {
+		t.Fatalf("%d grants in %d cycles", grants, 2*n)
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("observer-off StepInto allocates %.1f per grant cycle, want 0", allocs)
+	}
+}

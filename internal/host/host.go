@@ -168,6 +168,25 @@ func (h *Host) Step(s Step, e protocol.Effects) {
 	h.Apply(s.Node, e)
 }
 
+// StepInto is Step for a step whose effects fill appends into the buffer it
+// is handed, e.g. func(e) { node.RequestInto(now, e) }. With no observer
+// attached and no other step being applied, that buffer is the host's
+// scratch — the fast path Arrive and FireTimer take — so the step allocates
+// nothing; otherwise fill gets a fresh buffer and the step goes through Step.
+func (h *Host) StepInto(s Step, fill func(*protocol.Effects)) {
+	if h.obs == nil && !h.applying {
+		h.applying = true
+		h.scratch.Reset()
+		fill(&h.scratch)
+		h.Apply(s.Node, h.scratch)
+		h.applying = false
+		return
+	}
+	var e protocol.Effects
+	fill(&e)
+	h.Step(s, e)
+}
+
 // EmitFault reports one injected fault to the observer (the host emits
 // drop/dup/delay itself; environments emit pause/resume).
 func (h *Host) EmitFault(f FaultEvent) {

@@ -22,9 +22,10 @@ func NewEndpointNetwork(ep transport.Endpoint, clock Clock) *EndpointNetwork {
 
 // Deliver implements Network.
 func (n *EndpointNetwork) Deliver(m protocol.Message, extra sim.Time) {
-	// The one heap copy of m: the envelope carries this pointer to the
-	// receiver.
-	mc := new(protocol.Message)
+	// Box m once, in a box from the transport's pool: the envelope carries
+	// the box to the receiver, which owns it from here on and frees it back
+	// to the pool (transport.Endpoint.Recv).
+	mc := transport.NewProto()
 	*mc = m
 	if extra <= 0 {
 		n.send(mc)

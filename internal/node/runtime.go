@@ -58,7 +58,11 @@ type Runtime struct {
 	host    *host.Host
 	clock   *host.WallClock
 	stopped bool
-	waiter  chan struct{} // closed on grant; nil when nobody waits
+	// waiting is set while an Acquire waits for a grant; the grant hook
+	// clears it and signals grant, whose one slot is free by then (see
+	// Acquire), so the send never blocks.
+	waiting bool
+	grant   chan struct{}
 	onApp   func(transport.AppData)
 
 	loopDone chan struct{}
@@ -80,7 +84,7 @@ func NewRuntime(proto *protocol.Node, ep transport.Endpoint, unit time.Duration,
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	r := &Runtime{proto: proto, ep: ep}
+	r := &Runtime{proto: proto, ep: ep, grant: make(chan struct{}, 1)}
 	r.clock = host.NewWallClock(unit, r.runLocked)
 	h, err := host.New(host.Config{
 		Clock:    r.clock,
@@ -113,14 +117,12 @@ func (r *Runtime) runLocked(fn func()) {
 // acquire, or a stale trap grant) it hands the token straight back so it
 // keeps moving.
 func (r *Runtime) onGranted(int) {
-	if r.waiter != nil {
-		close(r.waiter)
-		r.waiter = nil
+	if r.waiting {
+		r.waiting = false
+		r.grant <- struct{}{}
 		return
 	}
-	now := r.clock.Now()
-	r.host.Step(host.Step{At: now, Kind: host.StepRelease, Node: r.ID()},
-		r.proto.Release(protocol.Time(now)))
+	r.release()
 }
 
 // ID returns the node's ring position.
@@ -195,50 +197,46 @@ func (r *Runtime) Bootstrap() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.clock.Now()
-	r.host.Step(host.Step{At: now, Kind: host.StepBootstrap, Node: r.ID()},
-		r.proto.GiveToken(protocol.Time(now)))
+	r.host.StepInto(host.Step{At: now, Kind: host.StepBootstrap, Node: r.ID()},
+		func(e *protocol.Effects) { r.proto.GiveTokenInto(protocol.Time(now), e) })
 }
 
 // Acquire blocks until the token is granted to this node or ctx is done.
-// On success the caller must call Release.
+// It returns nil exactly when the token is held — also when the grant
+// raced the cancellation and won — and the caller must then call Release.
 func (r *Runtime) Acquire(ctx context.Context) error {
 	r.mu.Lock()
 	if r.stopped {
 		r.mu.Unlock()
 		return ErrStopped
 	}
-	if r.waiter != nil {
+	if r.waiting {
 		r.mu.Unlock()
 		return errors.New("node: concurrent Acquire on one runtime")
 	}
-	// Register the waiter before stepping: an immediate self-grant closes
-	// it via the Granted hook, the same path a remote grant takes.
-	w := make(chan struct{})
-	r.waiter = w
+	// Wait before stepping: an immediate self-grant signals through the
+	// Granted hook, the same path a remote grant takes.
+	r.waiting = true
 	now := r.clock.Now()
-	r.host.Step(host.Step{At: now, Kind: host.StepRequest, Node: r.ID()},
-		r.proto.Request(protocol.Time(now)))
+	r.host.StepInto(host.Step{At: now, Kind: host.StepRequest, Node: r.ID()},
+		func(e *protocol.Effects) { r.proto.RequestInto(protocol.Time(now), e) })
 	r.mu.Unlock()
 
 	select {
-	case <-w:
+	case <-r.grant:
 		return nil
 	case <-ctx.Done():
 		r.mu.Lock()
-		if r.waiter == w {
-			r.waiter = nil
-		}
-		r.mu.Unlock()
-		// The grant may still arrive later; a grant with no waiter is
-		// released immediately by the grant hook, keeping the token
-		// moving.
-		select {
-		case <-w:
-			// Granted concurrently with cancellation: give it back.
-			r.Release()
+		defer r.mu.Unlock()
+		if !r.waiting {
+			// The grant came first and its signal is in the slot: keep the
+			// token, and drain the slot for the next Acquire.
+			<-r.grant
 			return nil
-		default:
 		}
+		// A grant arriving from now on finds nobody waiting and is
+		// released at once by the grant hook, keeping the token moving.
+		r.waiting = false
 		return ctx.Err()
 	}
 }
@@ -247,9 +245,14 @@ func (r *Runtime) Acquire(ctx context.Context) error {
 func (r *Runtime) Release() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.release()
+}
+
+// release steps the protocol's critical-section exit; r.mu is held.
+func (r *Runtime) release() {
 	now := r.clock.Now()
-	r.host.Step(host.Step{At: now, Kind: host.StepRelease, Node: r.ID()},
-		r.proto.Release(protocol.Time(now)))
+	r.host.StepInto(host.Step{At: now, Kind: host.StepRelease, Node: r.ID()},
+		func(e *protocol.Effects) { r.proto.ReleaseInto(protocol.Time(now), e) })
 }
 
 // TryAttachment returns the token's application attachment; valid while the
@@ -280,8 +283,8 @@ func (r *Runtime) ApplyView(u protocol.ViewUpdate) {
 		return
 	}
 	now := r.clock.Now()
-	r.host.Step(host.Step{At: now, Kind: host.StepView, Node: r.ID()},
-		r.proto.ApplyView(protocol.Time(now), u))
+	r.host.StepInto(host.Step{At: now, Kind: host.StepView, Node: r.ID()},
+		func(e *protocol.Effects) { r.proto.ApplyViewInto(protocol.Time(now), u, e) })
 }
 
 // Inspect runs fn on the protocol node under the runtime lock. The live
@@ -324,6 +327,8 @@ func (r *Runtime) recvLoop() {
 			}
 			r.host.Arrive(*env.Proto)
 			r.mu.Unlock()
+			// Arrive copied the message out; the box is ours to recycle.
+			transport.FreeProto(env.Proto)
 		case env.App != nil:
 			r.mu.Lock()
 			fn := r.onApp

@@ -148,11 +148,12 @@ func TestAcquireContextCancel(t *testing.T) {
 	if err := rts[1].Acquire(bg); err != nil {
 		t.Fatal(err)
 	}
-	// Node 2's acquire times out while node 1 holds.
+	// Node 2's acquire times out while node 1 holds: the token cannot
+	// reach it, so the acquire fails.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	if err := rts[2].Acquire(ctx); err == nil {
-		rts[2].Release() // raced the cancellation: it won the token
+		t.Fatal("acquire granted while another node held the token")
 	}
 	rts[1].Release()
 	// The system still works afterwards.
@@ -234,6 +235,26 @@ func TestAppDataDelivery(t *testing.T) {
 			seen++
 		case <-deadline:
 			t.Fatalf("only %d of 3 deliveries", seen)
+		}
+	}
+}
+
+// TestCanceledAcquireNilMeansHeld: Acquire returns nil exactly when the
+// token is held. On a 1-node ring the grant comes inside Acquire's own
+// request step, so with an already-canceled context every call is a race
+// between the grant and the cancellation; a grant that wins is kept.
+func TestCanceledAcquireNilMeansHeld(t *testing.T) {
+	rts, _ := cluster(t, liveConfig(1))
+	rt := rts[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 200; i++ {
+		err := rt.Acquire(ctx)
+		if held := rt.Stats().InCS; held != (err == nil) {
+			t.Fatalf("call %d: Acquire returned %v with the token held=%v", i, err, held)
+		}
+		if err == nil {
+			rt.Release()
 		}
 	}
 }

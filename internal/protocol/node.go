@@ -373,22 +373,34 @@ func (n *Node) setAttach(s string) {
 // GiveToken bootstraps this node as the initial token holder.
 func (n *Node) GiveToken(now Time) Effects {
 	var e Effects
+	n.GiveTokenInto(now, &e)
+	return e
+}
+
+// GiveTokenInto is GiveToken appending into a caller-owned Effects.
+func (n *Node) GiveTokenInto(now Time, e *Effects) {
 	if n.bootstrapped || n.hasToken {
-		return e
+		return
 	}
 	n.bootstrapped = true
 	n.hasToken = true
 	n.returnTo = None
-	n.afterTokenAcquired(now, &e)
-	return e
+	n.afterTokenAcquired(now, e)
 }
 
 // Request records that the local application wants the token. The host must
 // call Release after a grant.
 func (n *Node) Request(now Time) Effects {
 	var e Effects
+	n.RequestInto(now, &e)
+	return e
+}
+
+// RequestInto is Request appending into a caller-owned Effects — the form a
+// live runtime drives with its host's scratch buffer.
+func (n *Node) RequestInto(now Time, e *Effects) {
 	if n.inCS || n.pending {
-		return e // already granted or already waiting
+		return // already granted or already waiting
 	}
 	if n.hasToken {
 		// The holder's own request is satisfied on the spot.
@@ -398,21 +410,26 @@ func (n *Node) Request(now Time) Effects {
 		e.Granted = true
 		n.holdGen++ // cancel any idle hold
 		n.pushGen++
-		return e
+		return
 	}
 	n.pending = true
 	n.reqSeq++
-	n.issueSearch(now, &e)
-	n.armRecovery(&e)
-	return e
+	n.issueSearch(now, e)
+	n.armRecovery(e)
 }
 
 // Release hands the token back after a grant. With a decorated token it
 // returns to the interceptor; otherwise rotation continues here.
 func (n *Node) Release(now Time) Effects {
 	var e Effects
+	n.ReleaseInto(now, &e)
+	return e
+}
+
+// ReleaseInto is Release appending into a caller-owned Effects.
+func (n *Node) ReleaseInto(now Time, e *Effects) {
 	if !n.inCS {
-		return e
+		return
 	}
 	n.inCS = false
 	n.recordServed(n.ID(), n.curGrantSeq)
@@ -421,11 +438,10 @@ func (n *Node) Release(now Time) Effects {
 		dst := int(n.returnTo)
 		n.returnTo = None
 		n.hasToken = false
-		n.sendToken(&e, MsgToken, dst)
-		return e
+		n.sendToken(e, MsgToken, dst)
+		return
 	}
-	n.afterTokenIdle(now, &e)
-	return e
+	n.afterTokenIdle(now, e)
 }
 
 // HandleMessage processes an incoming message. Malformed messages —

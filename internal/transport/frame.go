@@ -175,17 +175,18 @@ func (d *payloadDecoder) string() string {
 }
 
 // decodePayload decodes one frame payload into e. It allocates only what e
-// keeps — the Message or AppData, its strings and its Served slice — and
-// nothing it returns aliases payload. Truncation, an unknown tag, undefined
-// flag bits, a length or count beyond the remaining bytes, and trailing
-// bytes all fail.
+// keeps — the AppData, the strings and the Served slice; the Message box
+// comes from NewProto — and nothing it returns aliases payload. Truncation,
+// an unknown tag, undefined flag bits, a length or count beyond the
+// remaining bytes, and trailing bytes all fail.
 func decodePayload(payload []byte, e *Envelope) error {
 	d := payloadDecoder{b: payload}
 	tag := d.byte()
 	*e = Envelope{From: d.int(), To: d.int()}
 	switch tag {
 	case tagProto:
-		m := &protocol.Message{
+		m := NewProto()
+		*m = protocol.Message{
 			Kind:        protocol.MsgKind(d.int()),
 			From:        d.int(),
 			To:          d.int(),

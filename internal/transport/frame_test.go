@@ -260,7 +260,10 @@ func TestFrameRejectsMalformed(t *testing.T) {
 
 // TestFrameCodecAllocs pins the codec's allocation budget: encoding into a
 // warm buffer allocates nothing; decoding allocates only what the envelope
-// keeps.
+// keeps, and a Message box not even that once the previous one has gone
+// back through FreeProto. Under -race, sync.Pool drops a quarter of its Puts
+// at random, about 0.25 fresh boxes a decode, which AllocsPerRun's integer
+// mean still reads as 0.
 func TestFrameCodecAllocs(t *testing.T) {
 	buf := make([]byte, 0, 256)
 	for _, e := range []Envelope{tokenEnv, searchEnv, appEnv} {
@@ -275,9 +278,9 @@ func TestFrameCodecAllocs(t *testing.T) {
 		env  Envelope
 		max  float64
 	}{
-		{"search", searchEnv, 1}, // the Message
-		{"token", tokenEnv, 3},   // the Message, Attach, Served
-		{"app", appEnv, 3},       // the AppData, Kind, Payload
+		{"search", searchEnv, 0},
+		{"token", tokenEnv, 2}, // Attach, Served
+		{"app", appEnv, 3},     // the AppData, Kind, Payload
 		{"bare app", Envelope{App: &AppData{}}, 1},
 	} {
 		frame, err := appendFrame(nil, c.env)
@@ -291,6 +294,9 @@ func TestFrameCodecAllocs(t *testing.T) {
 			src.Reset(frame)
 			if err := fr.next(&e); err != nil {
 				t.Fatal(err)
+			}
+			if e.Proto != nil {
+				FreeProto(e.Proto)
 			}
 		}); n > c.max {
 			t.Errorf("decode %s: %v allocs/op, want <= %v", c.name, n, c.max)

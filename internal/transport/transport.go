@@ -49,6 +49,21 @@ func (e Envelope) Validate() error {
 	return nil
 }
 
+// protoPool recycles the message boxes an Envelope carries.
+var protoPool = sync.Pool{New: func() any { return new(protocol.Message) }}
+
+// NewProto returns a zeroed message box for an outgoing Envelope.Proto,
+// recycled through FreeProto where possible.
+func NewProto() *protocol.Message { return protoPool.Get().(*protocol.Message) }
+
+// FreeProto zeroes m — so a pooled box keeps no Served or Attach data
+// alive — and hands it back for NewProto to reuse. Only the owner of m may
+// free it, once, and nothing may read m afterwards (see Endpoint.Recv).
+func FreeProto(m *protocol.Message) {
+	*m = protocol.Message{}
+	protoPool.Put(m)
+}
+
 // Endpoint is one node's attachment to a network.
 type Endpoint interface {
 	// ID returns the node's ring position.
@@ -56,7 +71,12 @@ type Endpoint interface {
 	// Send transmits an envelope; e.To selects the destination.
 	Send(e Envelope) error
 	// Recv returns the channel of incoming envelopes. It is closed when
-	// the endpoint closes.
+	// the endpoint closes. The receiver owns each envelope's Proto box —
+	// in process it is the very box the sender sent — and may hand it to
+	// FreeProto once done with it. The transport never frees a box itself,
+	// so a box it drops, or encodes for a remote peer, is left to the
+	// garbage collector, and a sender whose receiver does not free may
+	// send one box again.
 	Recv() <-chan Envelope
 	// Close shuts the endpoint down and releases its goroutines.
 	Close() error

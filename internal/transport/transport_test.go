@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -24,6 +25,19 @@ func TestEnvelopeValidate(t *testing.T) {
 	}
 	if (Envelope{App: &AppData{}}).Validate() != nil {
 		t.Error("app envelope should pass")
+	}
+}
+
+// TestFreeProtoZeroes: a freed box keeps no reference into the Served
+// backing or the Attach string it carried. Only this test reads a box
+// after its free.
+func TestFreeProtoZeroes(t *testing.T) {
+	m := NewProto()
+	*m = protocol.Message{Kind: protocol.MsgToken, To: 3, Attach: "seq=7",
+		Served: []protocol.ServedRec{{Requester: 1, ReqSeq: 2}}}
+	FreeProto(m)
+	if !reflect.DeepEqual(*m, protocol.Message{}) {
+		t.Fatalf("freed box still holds %+v", *m)
 	}
 }
 
