@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-mem vet fmt loc check clean torture torture-shards fuzz smoke-live trace-demo profile-sim profile-sim-big
+.PHONY: build test race bench bench-mem vet fmt loc deadcode check clean torture torture-shards fuzz smoke-live trace-demo profile-sim profile-sim-big
 
 build:
 	$(GO) build ./...
@@ -29,8 +29,17 @@ loc:
 	@git ls-files '*.go' | grep -v '^benchmark/' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs echo non-test
 	@git ls-files '*_test.go' | grep -v '^benchmark/' | xargs cat | wc -l | xargs echo test
 
+# Functions declared under internal/ that no binary contains: builds every
+# cmd/, examples/ and benchmark/ binary with inlining off and compares their
+# symbol tables with the declarations. Fails on any that
+# scripts/deadcode/allow.txt does not name, and on any allowlist entry that
+# is reached, no longer declared, names a test its package lacks, or is
+# missing from that package's test binary.
+deadcode:
+	$(GO) run ./scripts/deadcode
+
 bench:
-	$(GO) test -run XXX -bench . -benchmem ./internal/history/ ./internal/bench/
+	$(GO) test -run XXX -bench . -benchmem ./internal/bench/
 	$(GO) test -run XXX -bench . -benchmem .
 
 # Memory-focused benchmarks plus the allocation-regression gates: the
@@ -45,8 +54,8 @@ bench:
 bench-mem:
 	$(GO) test -run XXX -bench 'BenchmarkEngine' -benchmem ./internal/sim/
 	$(GO) test -run XXX -bench 'BenchmarkFig9Slice' -benchmem ./internal/bench/
-	$(GO) test -run 'TestAllocationBudget|TestEngineSteadyStateAllocFree|TestCompactToAllocFree' \
-		-v ./internal/bench/ ./internal/sim/ ./internal/history/
+	$(GO) test -run 'TestAllocationBudget|TestEngineSteadyStateAllocFree' \
+		-v ./internal/bench/ ./internal/sim/
 	$(GO) test -run 'TestLiveGrantAllocs|TestStepIntoZeroAlloc' -v ./internal/core/ ./internal/host/
 
 # Randomized fault-injection torture sweep: 9 seeds × 9 fault mixes ×
@@ -133,7 +142,7 @@ fuzz:
 # The full torture sweep and the shard sweep ride along (~1 min; each exits
 # 1 on any failing scenario), so a red fence is a red build locally too,
 # not only in CI.
-check: build vet fmt test race torture torture-shards
+check: build vet fmt deadcode test race torture torture-shards
 
 clean:
 	$(GO) clean ./...

@@ -102,15 +102,12 @@ func run(args []string, out io.Writer) error {
 
 	if *refine {
 		fmt.Fprintln(out, "\nchecking refinement chain (forward simulation):")
-		for _, link := range spec.Chain(params) {
-			err := trs.CheckRefinement(
-				link.Concrete.Rules, link.Abstract.Rules, link.Abs, link.Concrete.Init,
-				trs.RefinementOptions{MaxStates: *maxStates, MaxAbstractSteps: link.MaxAbstractSteps})
-			if err != nil {
-				return fmt.Errorf("%s: %w", link.Name, err)
-			}
+		err := spec.CheckRefinements(spec.Chain(params), *maxStates, func(link spec.RefinementCheck) {
 			fmt.Fprintf(out, "  %-18s OK (≤%d abstract steps per concrete step)\n",
 				link.Name, link.MaxAbstractSteps)
+		})
+		if err != nil {
+			return err
 		}
 	}
 	fmt.Fprintln(out, "\nall checks passed")

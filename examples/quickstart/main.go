@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"adaptivetoken/internal/core"
@@ -64,11 +65,10 @@ func run() error {
 	}
 	ref := cluster.Broadcaster(0).Log()
 	for i := 1; i < n; i++ {
-		l := cluster.Broadcaster(i).Log()
-		if !ref.IsPrefixOf(l) || !l.IsPrefixOf(ref) {
+		if !slices.Equal(ref, cluster.Broadcaster(i).Log()) {
 			return fmt.Errorf("node %d delivered a different order", i)
 		}
 	}
-	fmt.Printf("all %d nodes delivered the same %d messages in the same order\n", n, ref.Len())
+	fmt.Printf("all %d nodes delivered the same %d messages in the same order\n", n, len(ref))
 	return nil
 }

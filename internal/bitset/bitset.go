@@ -58,15 +58,6 @@ func (s *Set) Clear(i int) {
 	}
 }
 
-// SetTo sets bit i to v.
-func (s *Set) SetTo(i int, v bool) {
-	if v {
-		s.Set(i)
-	} else {
-		s.Clear(i)
-	}
-}
-
 // Count returns the number of set bits. O(1): the count is maintained by
 // Set/Clear.
 func (s *Set) Count() int { return s.count }

@@ -28,11 +28,6 @@ func TestBasics(t *testing.T) {
 	if s.Get(63) || s.Count() != 3 {
 		t.Fatalf("clear: get=%v count=%d", s.Get(63), s.Count())
 	}
-	s.SetTo(5, true)
-	s.SetTo(5, false)
-	if s.Get(5) || s.Count() != 3 {
-		t.Fatalf("SetTo round trip: count=%d", s.Count())
-	}
 	s.ClearAll()
 	if s.Count() != 0 || s.Any() || s.Get(0) || s.Get(129) {
 		t.Fatalf("ClearAll left bits: count=%d", s.Count())
@@ -101,7 +96,7 @@ func TestAgainstBoolSlice(t *testing.T) {
 	}
 	for step := 0; step < 20000; step++ {
 		i := rng.Intn(n)
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			s.Set(i)
 			ref[i] = true
@@ -109,10 +104,6 @@ func TestAgainstBoolSlice(t *testing.T) {
 			s.Clear(i)
 			ref[i] = false
 		case 2:
-			v := rng.Intn(2) == 0
-			s.SetTo(i, v)
-			ref[i] = v
-		case 3:
 			if got, want := s.Next(i), refNext(i); got != want {
 				t.Fatalf("step %d: Next(%d) = %d, want %d", step, i, got, want)
 			}

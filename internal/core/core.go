@@ -35,7 +35,6 @@ type Option func(*settings)
 
 type settings struct {
 	cfg         protocol.Config
-	seed        uint64
 	timeUnit    time.Duration
 	plan        faults.Plan
 	observer    host.Observer
@@ -79,12 +78,6 @@ func WithResearchTimeout(d protocol.Time) Option {
 // WithRecovery enables token-loss detection and regeneration after d.
 func WithRecovery(d protocol.Time) Option {
 	return func(s *settings) { s.cfg.RecoveryTimeout = d }
-}
-
-// WithSeed seeds the fault plan's randomness when the plan does not carry
-// its own seed.
-func WithSeed(seed uint64) Option {
-	return func(s *settings) { s.seed = seed }
 }
 
 // WithTimeUnit sets the wall-clock length of one protocol time unit
@@ -179,13 +172,15 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 			TrapGC:          protocol.GCRotation,
 			ResearchTimeout: 1000,
 		},
-		seed:     1,
 		timeUnit: time.Millisecond,
 	}
 	for _, opt := range opts {
 		opt(&s)
 	}
 	s.cfg.N = n
+	if s.plan.Seed == 0 {
+		s.plan.Seed = 1
+	}
 	if err := s.cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -282,14 +277,10 @@ func (c *Cluster) MetricsAddr() string {
 // liveInstrumentation builds the shared fault injector and (optionally)
 // mutex-serialized observer a set of concurrent live runtimes attaches to.
 func liveInstrumentation(s settings) (*faults.Shared, host.Observer, error) {
-	plan := s.plan
-	if plan.Seed == 0 {
-		plan.Seed = s.seed
-	}
-	if len(plan.Pauses) > 0 {
+	if len(s.plan.Pauses) > 0 {
 		return nil, nil, fmt.Errorf("core: fault pauses need simulated time; use the simulation driver")
 	}
-	inj, err := faults.NewInjector(plan)
+	inj, err := faults.NewInjector(s.plan)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -299,9 +290,6 @@ func liveInstrumentation(s settings) (*faults.Shared, host.Observer, error) {
 	}
 	return faults.Share(inj), obs, nil
 }
-
-// N returns the ring size.
-func (c *Cluster) N() int { return c.cfg.N }
 
 // Config returns the protocol configuration in use.
 func (c *Cluster) Config() protocol.Config { return c.cfg }
@@ -367,7 +355,6 @@ type LiveNode struct {
 	Mutex       *mutex.Mutex
 	Broadcaster *tobcast.Broadcaster
 	transport   *transport.TCP
-	tracer      *telemetry.Tracer
 	telem       *telemetry.Server
 }
 
@@ -430,7 +417,6 @@ func NewLiveNode(id int, addrs []string, bootstrap bool, opts ...Option) (*LiveN
 		Mutex:       mutex.New(rt),
 		Broadcaster: tobcast.New(rt, len(addrs)),
 		transport:   tcp,
-		tracer:      tracer,
 	}
 	rt.Start()
 	if bootstrap {
@@ -448,10 +434,6 @@ func NewLiveNode(id int, addrs []string, bootstrap bool, opts ...Option) (*LiveN
 	}
 	return ln, nil
 }
-
-// Tracer returns the telemetry tracer backing the observability endpoint
-// (nil without WithMetricsAddr).
-func (ln *LiveNode) Tracer() *telemetry.Tracer { return ln.tracer }
 
 // MetricsAddr returns the observability endpoint's actual listen address
 // (empty without WithMetricsAddr).

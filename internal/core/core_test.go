@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,7 +45,7 @@ func TestClusterMutexRoundRobin(t *testing.T) {
 		if err := m.Lock(ctx); err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
-		if !m.Held() {
+		if _, held := c.Runtime(i).TryAttachment(); !held {
 			t.Errorf("node %d should hold", i)
 		}
 		if err := m.Unlock(); err != nil {
@@ -70,13 +71,14 @@ func TestClusterMutexContention(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 4; k++ {
-				err := c.Mutex(i).Do(ctx, func() error {
-					mu.Lock()
-					counter++
-					mu.Unlock()
-					return nil
-				})
-				if err != nil {
+				if err := c.Mutex(i).Lock(ctx); err != nil {
+					t.Errorf("node %d: %v", i, err)
+					return
+				}
+				mu.Lock()
+				counter++
+				mu.Unlock()
+				if err := c.Mutex(i).Unlock(); err != nil {
 					t.Errorf("node %d: %v", i, err)
 					return
 				}
@@ -129,7 +131,7 @@ func TestClusterTotalOrderBroadcast(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			for i := 0; i < n; i++ {
-				t.Logf("node %d delivered %d backlog %d", i, c.Broadcaster(i).Delivered(), c.Broadcaster(i).Backlog())
+				t.Logf("node %d delivered %d", i, c.Broadcaster(i).Delivered())
 			}
 			t.Fatal("timeout waiting for deliveries")
 		}
@@ -139,19 +141,18 @@ func TestClusterTotalOrderBroadcast(t *testing.T) {
 	ref := c.Broadcaster(0).Log()
 	for i := 1; i < n; i++ {
 		logI := c.Broadcaster(i).Log()
-		if logI.Len() != ref.Len() {
-			t.Fatalf("node %d delivered %d, node 0 delivered %d", i, logI.Len(), ref.Len())
+		if len(logI) != len(ref) {
+			t.Fatalf("node %d delivered %d, node 0 delivered %d", i, len(logI), len(ref))
 		}
-		if !ref.IsPrefixOf(logI) || !logI.IsPrefixOf(ref) {
-			t.Fatalf("node %d order diverges from node 0:\n%s\n%s", i, logI, ref)
+		if !slices.Equal(ref, logI) {
+			t.Fatalf("node %d order diverges from node 0:\n%v\n%v", i, logI, ref)
 		}
 	}
 }
 
 func TestClusterSurvivesCheapLoss(t *testing.T) {
 	c := newCluster(t, 4,
-		WithSeed(11),
-		WithFaults(faults.Plan{DropCheap: 0.7}),
+		WithFaults(faults.Plan{Seed: 11, DropCheap: 0.7}),
 		WithResearchTimeout(50),
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -201,28 +202,9 @@ func TestClusterOptionsApply(t *testing.T) {
 		cfg.TrapGC != protocol.GCRotation || cfg.RecoveryTimeout != 5000 {
 		t.Errorf("config = %+v", cfg)
 	}
-	if c.N() != 3 || c.Runtime(1).ID() != 1 {
+	if c.Runtime(1).ID() != 1 {
 		t.Error("accessors broken")
 	}
-}
-
-func TestMutexTryLock(t *testing.T) {
-	c := newCluster(t, 2)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := c.Mutex(0).Lock(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Node 1 cannot take it quickly while node 0 holds.
-	if c.Mutex(1).TryLock(20 * time.Millisecond) {
-		c.Mutex(1).Unlock()
-		t.Skip("token won despite holder — timing-sensitive, skipping")
-	}
-	c.Mutex(0).Unlock()
-	if !c.Mutex(1).TryLock(10 * time.Second) {
-		t.Fatal("lock should be available now")
-	}
-	c.Mutex(1).Unlock()
 }
 
 // tcpRing starts an n-node TCP ring on loopback with dynamic ports; node 0
@@ -294,7 +276,7 @@ func TestLiveNodeTCPRing(t *testing.T) {
 // test if two critical sections overlap. CI runs it with -race -count=10.
 func TestLiveExclusionUnderDupAndDelay(t *testing.T) {
 	const n = 4
-	opts := []Option{WithSeed(5), WithFaults(faults.Plan{DupCheap: 0.3, JitterProb: 0.3, JitterMax: 3})}
+	opts := []Option{WithFaults(faults.Plan{Seed: 5, DupCheap: 0.3, JitterProb: 0.3, JitterMax: 3})}
 	t.Run("chan", func(t *testing.T) {
 		c := newCluster(t, n, opts...)
 		rts, ms := make([]*node.Runtime, n), make([]*mutex.Mutex, n)

@@ -27,7 +27,8 @@ func ExampleNewCluster() {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println("node 1 holds the critical section:", cluster.Mutex(1).Held())
+	_, held := cluster.Runtime(1).TryAttachment()
+	fmt.Println("node 1 holds the critical section:", held)
 	if err := cluster.Mutex(1).Unlock(); err != nil {
 		fmt.Println("error:", err)
 		return

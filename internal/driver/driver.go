@@ -291,9 +291,6 @@ func (r *Runner) Grants() int { return r.grants }
 // into the outstanding one (§4.4's one-outstanding-request rule).
 func (r *Runner) Issued() int { return r.issued }
 
-// Coalesced returns the number of requests absorbed by an outstanding one.
-func (r *Runner) Coalesced() int { return r.coalesced }
-
 // InvariantErr returns the token census's first violation, if any.
 func (r *Runner) InvariantErr() error { return r.census.err }
 

@@ -6,17 +6,13 @@ import (
 	"adaptivetoken/internal/membership"
 )
 
-// ExampleView shows ring views and the logarithmic halfway neighbor set
-// the paper's conclusion says suffices for the binary search.
+// ExampleView shows a ring view changing by one leave and one join, each
+// bumping the epoch.
 func ExampleView() {
 	v := membership.NewView(0, []int{10, 20, 30, 40, 50, 60, 70, 80})
-	hs, _ := v.HalfwaySet(10)
-	fmt.Println("halfway set of 10:", hs)
-
 	v2 := v.WithLeft(40).WithJoined(45)
 	fmt.Println("after leave(40)+join(45):", v2.Members, "epoch", v2.Epoch)
 	// Output:
-	// halfway set of 10: [50 30 20]
 	// after leave(40)+join(45): [10 20 30 45 50 60 70 80] epoch 2
 }
 

@@ -1,9 +1,8 @@
 // Package membership implements the dynamic-ring machinery the paper
-// sketches in its conclusion: views of the nodes comprising the ring,
+// sketches in its conclusion: views of the nodes comprising the ring and
 // totally ordered view changes (joins and leaves agreed through the
-// token-ordered broadcast), and the logarithmic "halfway" neighbor sets the
-// binary search needs ("nodes need only a set of a logarithmic number of
-// neighbors").
+// token-ordered broadcast). The binary search's logarithmic "halfway"
+// neighbours are computed by the protocol itself (protocol/view.go).
 package membership
 
 import (
@@ -35,9 +34,6 @@ func NewView(epoch uint64, members []int) View {
 	return View{Epoch: epoch, Members: append([]int(nil), out...)}
 }
 
-// N returns the ring size.
-func (v View) N() int { return len(v.Members) }
-
 // Contains reports whether id is a member.
 func (v View) Contains(id int) bool {
 	_, ok := v.PositionOf(id)
@@ -51,16 +47,6 @@ func (v View) PositionOf(id int) (int, bool) {
 		return i, true
 	}
 	return 0, false
-}
-
-// MemberAt returns the member at ring position pos (mod N).
-func (v View) MemberAt(pos int) int {
-	n := len(v.Members)
-	p := pos % n
-	if p < 0 {
-		p += n
-	}
-	return v.Members[p]
 }
 
 // WithJoined returns a new view with id added and the epoch bumped.
@@ -79,40 +65,6 @@ func (v View) WithLeft(id int) View {
 	return View{Epoch: v.Epoch + 1, Members: out}
 }
 
-// HalfwaySet returns the members at distances ⌈n/2⌉, ⌈n/4⌉, …, 1 clockwise
-// from id — the logarithmic neighbor set sufficient for the binary search,
-// per the paper's conclusion.
-func (v View) HalfwaySet(id int) ([]int, error) {
-	pos, ok := v.PositionOf(id)
-	if !ok {
-		return nil, fmt.Errorf("membership: %d not in view", id)
-	}
-	n := len(v.Members)
-	var out []int
-	seen := map[int]bool{id: true}
-	for w := (n + 1) / 2; w >= 1; w /= 2 {
-		m := v.MemberAt(pos + w)
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
-		}
-	}
-	return out, nil
-}
-
-// Equal reports whether two views have the same epoch and members.
-func (v View) Equal(o View) bool {
-	if v.Epoch != o.Epoch || len(v.Members) != len(o.Members) {
-		return false
-	}
-	for i := range v.Members {
-		if v.Members[i] != o.Members[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the view.
 func (v View) String() string {
 	return fmt.Sprintf("view{epoch=%d members=%v}", v.Epoch, v.Members)
@@ -129,18 +81,6 @@ const (
 	Leave
 )
 
-// String returns the kind name.
-func (k ChangeKind) String() string {
-	switch k {
-	case Join:
-		return "join"
-	case Leave:
-		return "leave"
-	default:
-		return fmt.Sprintf("change(%d)", int(k))
-	}
-}
-
 // Change is one membership event. Changes applied in the same total order
 // at every node (e.g. via the tobcast service) yield identical views
 // everywhere.
@@ -149,12 +89,11 @@ type Change struct {
 	Node int
 }
 
-// Tracker folds a totally ordered stream of changes into the current view
-// and notifies subscribers. Safe for concurrent use.
+// Tracker folds a totally ordered stream of changes into the current view.
+// Safe for concurrent use.
 type Tracker struct {
 	mu   sync.Mutex
 	view View
-	subs []func(View)
 }
 
 // NewTracker starts from the initial view.
@@ -169,42 +108,17 @@ func (t *Tracker) View() View {
 	return t.view
 }
 
-// Subscribe registers fn to run after every applied change.
-func (t *Tracker) Subscribe(fn func(View)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.subs = append(t.subs, fn)
-}
-
-// Apply folds one change into the view. Idempotent changes (joining a
-// member, removing a non-member) bump no epoch and notify nobody.
+// Apply folds one change into the view and returns the result.
+// Idempotent changes (joining a member, removing a non-member) and unknown
+// kinds leave the view and its epoch as they are.
 func (t *Tracker) Apply(c Change) View {
 	t.mu.Lock()
-	switch c.Kind {
-	case Join:
-		if t.view.Contains(c.Node) {
-			v := t.view
-			t.mu.Unlock()
-			return v
-		}
+	defer t.mu.Unlock()
+	switch {
+	case c.Kind == Join && !t.view.Contains(c.Node):
 		t.view = t.view.WithJoined(c.Node)
-	case Leave:
-		if !t.view.Contains(c.Node) {
-			v := t.view
-			t.mu.Unlock()
-			return v
-		}
+	case c.Kind == Leave && t.view.Contains(c.Node):
 		t.view = t.view.WithLeft(c.Node)
-	default:
-		v := t.view
-		t.mu.Unlock()
-		return v
 	}
-	v := t.view
-	subs := append(make([]func(View), 0, len(t.subs)), t.subs...)
-	t.mu.Unlock()
-	for _, fn := range subs {
-		fn(v)
-	}
-	return v
+	return t.view
 }

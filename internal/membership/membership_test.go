@@ -1,28 +1,23 @@
 package membership
 
 import (
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewViewSortsAndDedups(t *testing.T) {
 	v := NewView(1, []int{5, 2, 9, 2, 5})
-	if v.N() != 3 || v.Members[0] != 2 || v.Members[2] != 9 {
+	if len(v.Members) != 3 || v.Members[0] != 2 || v.Members[2] != 9 {
 		t.Fatalf("view = %v", v)
 	}
 }
 
-func TestPositionAndMemberAt(t *testing.T) {
+func TestPositionOf(t *testing.T) {
 	v := NewView(0, []int{10, 20, 30, 40})
 	if p, ok := v.PositionOf(30); !ok || p != 2 {
 		t.Errorf("PositionOf(30) = %d, %v", p, ok)
 	}
 	if _, ok := v.PositionOf(25); ok {
 		t.Error("25 is not a member")
-	}
-	if v.MemberAt(5) != 20 || v.MemberAt(-1) != 40 {
-		t.Errorf("MemberAt wrap: %d, %d", v.MemberAt(5), v.MemberAt(-1))
 	}
 	if !v.Contains(10) || v.Contains(11) {
 		t.Error("Contains broken")
@@ -32,100 +27,35 @@ func TestPositionAndMemberAt(t *testing.T) {
 func TestJoinLeave(t *testing.T) {
 	v := NewView(0, []int{1, 3})
 	j := v.WithJoined(2)
-	if j.Epoch != 1 || j.N() != 3 || j.Members[1] != 2 {
+	if j.Epoch != 1 || len(j.Members) != 3 || j.Members[1] != 2 {
 		t.Fatalf("joined = %v", j)
 	}
 	l := j.WithLeft(3)
-	if l.Epoch != 2 || l.N() != 2 || l.Contains(3) {
+	if l.Epoch != 2 || len(l.Members) != 2 || l.Contains(3) {
 		t.Fatalf("left = %v", l)
 	}
 	// Original untouched.
-	if v.N() != 2 || v.Epoch != 0 {
+	if len(v.Members) != 2 || v.Epoch != 0 {
 		t.Error("views must be immutable")
-	}
-}
-
-func TestHalfwaySet(t *testing.T) {
-	v := NewView(0, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	hs, err := v.HalfwaySet(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Distances 4, 2, 1 → members 4, 2, 1.
-	want := []int{4, 2, 1}
-	if len(hs) != len(want) {
-		t.Fatalf("halfway = %v", hs)
-	}
-	for i := range want {
-		if hs[i] != want[i] {
-			t.Errorf("halfway[%d] = %d, want %d", i, hs[i], want[i])
-		}
-	}
-	if _, err := v.HalfwaySet(99); err == nil {
-		t.Error("non-member must fail")
-	}
-}
-
-func TestHalfwaySetLogSize(t *testing.T) {
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%200) + 2
-		members := make([]int, n)
-		for i := range members {
-			members[i] = i * 3
-		}
-		v := NewView(0, members)
-		hs, err := v.HalfwaySet(members[0])
-		if err != nil {
-			return false
-		}
-		// |halfway| ≤ ⌈log2 n⌉ + 1.
-		bound := 1
-		for m := 1; m < n; m *= 2 {
-			bound++
-		}
-		return len(hs) <= bound
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestViewEqualAndString(t *testing.T) {
-	a := NewView(1, []int{1, 2})
-	b := NewView(1, []int{1, 2})
-	c := NewView(2, []int{1, 2})
-	d := NewView(1, []int{1, 3})
-	if !a.Equal(b) || a.Equal(c) || a.Equal(d) {
-		t.Error("Equal broken")
-	}
-	if !strings.Contains(a.String(), "epoch=1") {
-		t.Errorf("String = %s", a)
-	}
-	if Join.String() != "join" || Leave.String() != "leave" || ChangeKind(9).String() == "" {
-		t.Error("kind strings")
 	}
 }
 
 func TestTrackerAppliesOrderedChanges(t *testing.T) {
 	tr := NewTracker(NewView(0, []int{0, 1, 2}))
-	var notified []View
-	tr.Subscribe(func(v View) { notified = append(notified, v) })
-
 	tr.Apply(Change{Kind: Join, Node: 5})
-	tr.Apply(Change{Kind: Leave, Node: 1})
-	v := tr.View()
-	if v.Epoch != 2 || v.N() != 3 || v.Contains(1) || !v.Contains(5) {
+	v := tr.Apply(Change{Kind: Leave, Node: 1})
+	if v.Epoch != 2 || len(v.Members) != 3 || v.Contains(1) || !v.Contains(5) {
 		t.Fatalf("view = %v", v)
 	}
-	if len(notified) != 2 {
-		t.Errorf("notifications = %d", len(notified))
+	if got := tr.View(); got.String() != v.String() {
+		t.Fatalf("View() = %v, Apply returned %v", got, v)
 	}
-	// Idempotent changes: no epoch bump, no notification.
+	// Idempotent changes: no epoch bump.
 	tr.Apply(Change{Kind: Join, Node: 5})
 	tr.Apply(Change{Kind: Leave, Node: 1})
 	tr.Apply(Change{Kind: ChangeKind(9), Node: 7})
-	if tr.View().Epoch != 2 || len(notified) != 2 {
-		t.Error("idempotent changes must be silent")
+	if tr.View().Epoch != 2 {
+		t.Error("idempotent changes must not bump the epoch")
 	}
 }
 
@@ -141,7 +71,7 @@ func TestTrackerConvergence(t *testing.T) {
 		a.Apply(c)
 		b.Apply(c)
 	}
-	if !a.View().Equal(b.View()) {
+	if a.View().String() != b.View().String() {
 		t.Fatalf("diverged: %v vs %v", a.View(), b.View())
 	}
 }

@@ -23,7 +23,7 @@ const HistBuckets = 64
 type Histogram struct {
 	counts     [HistBuckets]int64
 	count, sum int64
-	min, max   int64
+	max        int64
 }
 
 // Observe records one measurement. Negative values clamp to zero (they land
@@ -33,9 +33,6 @@ func (h *Histogram) Observe(v int64) {
 		v = 0
 	}
 	h.counts[histBucket(v)]++
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
@@ -64,14 +61,6 @@ func (h *Histogram) Count() int64 { return h.count }
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() int64 { return h.sum }
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
 
 // Max returns the largest observation (0 when empty).
 func (h *Histogram) Max() int64 {
@@ -147,9 +136,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	for i := range h.counts {
 		h.counts[i] += other.counts[i]
 	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
 	if other.max > h.max {
 		h.max = other.max
 	}
@@ -164,11 +150,10 @@ func (h *Histogram) Reset() {
 
 // FromBuckets reconstructs a histogram from per-bucket (non-cumulative)
 // counts and the observation sum — the inverse of the Prometheus
-// exposition, which carries buckets and sum but not min/max. The exact
-// extrema are unrecoverable, so they are approximated by the tightest
-// bounds the occupied buckets allow (min at its bucket's lower edge, max
-// at its bucket's upper edge); quantiles keep their one-octave error bound
-// and merging reconstructed histograms stays exact bucket-for-bucket.
+// exposition, which carries buckets and sum but not the maximum. The exact
+// maximum is unrecoverable, so it is approximated by the upper edge of the
+// last occupied bucket; quantiles keep their one-octave error bound and
+// merging reconstructed histograms stays exact bucket-for-bucket.
 func FromBuckets(counts []int64, sum int64) Histogram {
 	var h Histogram
 	for i, c := range counts {
@@ -177,13 +162,6 @@ func FromBuckets(counts []int64, sum int64) Histogram {
 		}
 		h.counts[i] += c
 		h.count += c
-		if h.count == c { // first occupied bucket
-			if i == 0 {
-				h.min = 0
-			} else {
-				h.min = BucketUpper(i-1) + 1
-			}
-		}
 		h.max = BucketUpper(i)
 	}
 	h.sum = sum

@@ -86,7 +86,6 @@ func (s Summary) String() string {
 // ready nodes behind) and closes when any ready node is granted the token.
 type Responsiveness struct {
 	samples    []float64
-	hist       Histogram
 	readyCount int
 	open       bool
 	start      int64
@@ -106,7 +105,6 @@ func (r *Responsiveness) RequestArrived(t int64) {
 func (r *Responsiveness) Granted(t int64) {
 	if r.open {
 		r.samples = append(r.samples, float64(t-r.start))
-		r.hist.Observe(t - r.start)
 	}
 	if r.readyCount > 0 {
 		r.readyCount--
@@ -132,17 +130,11 @@ func (r *Responsiveness) Samples() []float64 {
 // Summary summarizes the recorded intervals.
 func (r *Responsiveness) Summary() Summary { return Summarize(r.samples) }
 
-// Hist returns the streaming log₂ histogram of the recorded intervals —
-// the mergeable, allocation-free view exporters scrape while a run is
-// still in flight (the exact samples stay authoritative for Summary).
-func (r *Responsiveness) Hist() *Histogram { return &r.hist }
-
 // Waits tracks per-request waiting time: from a node becoming ready to that
 // same node receiving the token.
 type Waits struct {
 	pending map[int]int64 // node → request time
 	samples []float64
-	hist    Histogram
 }
 
 // NewWaits returns an empty tracker.
@@ -165,7 +157,6 @@ func (w *Waits) Granted(node int, t int64) {
 	}
 	delete(w.pending, node)
 	w.samples = append(w.samples, float64(t-start))
-	w.hist.Observe(t - start)
 }
 
 // Outstanding returns the number of unanswered requests.
@@ -180,9 +171,6 @@ func (w *Waits) Samples() []float64 {
 
 // Summary summarizes the recorded waits.
 func (w *Waits) Summary() Summary { return Summarize(w.samples) }
-
-// Hist returns the streaming log₂ histogram of the recorded waits.
-func (w *Waits) Hist() *Histogram { return &w.hist }
 
 // Fast counter slots: the protocol message kinds plus the host's fault
 // counters, laid out in a fixed array so the per-dispatch increment on the

@@ -8,7 +8,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"adaptivetoken/internal/node"
 )
@@ -53,14 +52,6 @@ func (m *Mutex) Lock(ctx context.Context) error {
 	return nil
 }
 
-// TryLock attempts the lock with a deadline; it reports whether the lock
-// was taken.
-func (m *Mutex) TryLock(d time.Duration) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	return m.Lock(ctx) == nil
-}
-
 // Unlock releases the distributed lock.
 func (m *Mutex) Unlock() error {
 	m.mu.Lock()
@@ -73,20 +64,4 @@ func (m *Mutex) Unlock() error {
 	m.rt.Release()
 	m.localQ <- struct{}{}
 	return nil
-}
-
-// Held reports whether this node currently holds the lock.
-func (m *Mutex) Held() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.locked
-}
-
-// Do runs fn under the lock.
-func (m *Mutex) Do(ctx context.Context, fn func() error) error {
-	if err := m.Lock(ctx); err != nil {
-		return err
-	}
-	defer func() { _ = m.Unlock() }()
-	return fn()
 }

@@ -57,14 +57,14 @@ func TestLockUnlock(t *testing.T) {
 		if err := m.Lock(ctx); err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
-		if !m.Held() {
-			t.Errorf("node %d should report held", i)
+		if _, held := m.rt.TryAttachment(); !held {
+			t.Errorf("node %d should hold the token", i)
 		}
 		if err := m.Unlock(); err != nil {
 			t.Fatal(err)
 		}
-		if m.Held() {
-			t.Errorf("node %d should not report held", i)
+		if err := m.Unlock(); !errors.Is(err, ErrNotHeld) {
+			t.Errorf("node %d: second Unlock = %v, want ErrNotHeld", i, err)
 		}
 	}
 }
@@ -116,31 +116,6 @@ func TestLocalGoroutinesSerialize(t *testing.T) {
 	}
 }
 
-func TestDoRunsUnderLock(t *testing.T) {
-	muxes := testCluster(t, 2)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	ran := false
-	err := muxes[1].Do(ctx, func() error {
-		ran = true
-		if !muxes[1].Held() {
-			t.Error("Do body must run with the lock held")
-		}
-		return nil
-	})
-	if err != nil || !ran {
-		t.Fatalf("Do: err=%v ran=%v", err, ran)
-	}
-	if muxes[1].Held() {
-		t.Error("Do must release")
-	}
-	// Errors propagate.
-	wantErr := errors.New("boom")
-	if err := muxes[1].Do(ctx, func() error { return wantErr }); !errors.Is(err, wantErr) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestLockCanceledContext(t *testing.T) {
 	muxes := testCluster(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -156,12 +131,4 @@ func TestLockCanceledContext(t *testing.T) {
 		t.Fatalf("lock after canceled lock: %v", err)
 	}
 	muxes[1].Unlock()
-}
-
-func TestTryLock(t *testing.T) {
-	muxes := testCluster(t, 2)
-	if !muxes[0].TryLock(10 * time.Second) {
-		t.Fatal("try lock should succeed on idle ring")
-	}
-	muxes[0].Unlock()
 }

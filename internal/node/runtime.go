@@ -128,11 +128,6 @@ func (r *Runtime) onGranted(int) {
 // ID returns the node's ring position.
 func (r *Runtime) ID() int { return r.proto.ID() }
 
-// Proto exposes the underlying state machine for inspection (tests,
-// diagnostics). Hold no assumptions about concurrent mutation; snapshot
-// methods on protocol.Node are single values.
-func (r *Runtime) Proto() *protocol.Node { return r.proto }
-
 // Start launches the receive loop.
 func (r *Runtime) Start() {
 	r.loopDone = make(chan struct{})

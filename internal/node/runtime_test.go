@@ -74,7 +74,7 @@ func TestAcquireReleaseSingleNode(t *testing.T) {
 	if err := rts[0].Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !rts[0].Proto().InCS() {
+	if _, inCS := rts[0].TryAttachment(); !inCS {
 		t.Error("should be in CS")
 	}
 	rts[0].Release()

@@ -43,7 +43,7 @@ func TestColdStateAllocatedOnFirstRealWrite(t *testing.T) {
 	if n.cold != nil {
 		t.Fatalf("token, search and stray recovery traffic allocated the cold state: %+v", *n.cold)
 	}
-	if n.Attachment() != "" || n.ViewEpoch() != 0 || n.RecoveryActive() || !n.member(15) || n.liveCount() != 16 || n.liveMin() != 0 {
+	if n.Attachment() != "" || n.RecoveryActive() || !n.member(15) || n.liveCount() != 16 || n.liveMin() != 0 {
 		t.Fatal("a node without cold state must read as one whose cold state is zero")
 	}
 

@@ -282,9 +282,6 @@ func (n *Node) TrapRequesters(dst []int) []int {
 	return dst
 }
 
-// Config returns a copy of the node's configuration.
-func (n *Node) Config() Config { return *n.cfg }
-
 // Stats is a diagnostic snapshot of a node's protocol state.
 type Stats struct {
 	ID       int

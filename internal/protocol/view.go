@@ -73,15 +73,6 @@ func (n *Node) ApplyViewInto(now Time, u ViewUpdate, e *Effects) {
 	_ = now
 }
 
-// ViewEpoch returns the epoch of the node's current membership view (0
-// until a view is applied).
-func (n *Node) ViewEpoch() uint64 {
-	if n.cold == nil {
-		return 0
-	}
-	return n.cold.viewEpoch
-}
-
 // view returns the live set of the membership view in force, or nil while
 // the node routes over the full ring (no view applied yet).
 func (n *Node) view() *bitset.Set {

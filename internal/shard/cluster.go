@@ -116,12 +116,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Router returns the cluster's key router.
-func (c *Cluster) Router() *Router { return c.router }
-
-// Shards returns the shard count.
-func (c *Cluster) Shards() int { return c.cfg.Shards }
-
 // Shard returns shard k's driver.
 func (c *Cluster) Shard(k int) *driver.Runner { return c.runners[k] }
 

@@ -31,7 +31,6 @@ type Router struct {
 	live   []int // current live shard ids, sorted
 	table  []int32
 	mask   uint64
-	gen    uint64 // bumped by every table rebuild
 }
 
 // NewRouter builds a router over shards shards, all live, with
@@ -93,7 +92,6 @@ func (r *Router) SetView(live []int) error {
 	for slot := range r.table {
 		r.table[slot] = int32(owner(slot, view))
 	}
-	r.gen++
 	return nil
 }
 
@@ -125,14 +123,8 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Shards returns the configured shard count.
-func (r *Router) Shards() int { return r.shards }
-
 // Live returns a copy of the current live shard set, sorted.
 func (r *Router) Live() []int { return append([]int(nil), r.live...) }
 
 // Slots returns the lookup-table size.
 func (r *Router) Slots() int { return len(r.table) }
-
-// Gen returns the table generation, bumped on every rebuild.
-func (r *Router) Gen() uint64 { return r.gen }

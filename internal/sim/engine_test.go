@@ -168,26 +168,6 @@ func TestRNGExpTimeAtLeastOne(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(17)
-	p := r.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("bad permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestRNGFork(t *testing.T) {
-	r := NewRNG(19)
-	f := r.Fork()
-	if r.Uint64() == f.Uint64() {
-		t.Error("forked stream should differ")
-	}
-}
-
 func TestDelayModels(t *testing.T) {
 	r := NewRNG(23)
 	if (ConstantDelay{D: 4}).Delay(r, 0, 1) != 4 {

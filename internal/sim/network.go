@@ -31,24 +31,6 @@ func (u UniformDelay) Delay(rng *RNG, _, _ int) Time {
 	return u.Min + Time(rng.Intn(int(u.Max-u.Min)+1))
 }
 
-// JitterDelay wraps a base model and adds a uniform jitter in [0, Max].
-// With a Max of several base delays it yields genuine reordering between
-// messages sent close together, which is what the torture harness uses it
-// for.
-type JitterDelay struct {
-	Base DelayModel
-	Max  Time
-}
-
-// Delay implements DelayModel.
-func (j JitterDelay) Delay(rng *RNG, src, dst int) Time {
-	d := j.Base.Delay(rng, src, dst)
-	if j.Max > 0 {
-		d += Time(rng.Intn(int(j.Max) + 1))
-	}
-	return d
-}
-
 // ExponentialDelay delivers after an exponential delay with the given mean,
 // at least 1.
 type ExponentialDelay struct {

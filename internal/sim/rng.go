@@ -53,22 +53,3 @@ func (r *RNG) ExpTime(mean float64) Time {
 	}
 	return d
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Fork returns a new independent generator derived from this one, for
-// splitting randomness across subsystems without correlation.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64() ^ 0xd1342543de82ef95)
-}

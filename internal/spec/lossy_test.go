@@ -89,13 +89,8 @@ func TestLossySystemsInvariantsN3Bounded(t *testing.T) {
 // extends to the faulty executions the torture harness generates.
 func TestLossyChainRefinesS1(t *testing.T) {
 	p, lb := lossyTestParams()
-	for _, link := range LossyChain(p, lb) {
-		err := trs.CheckRefinement(
-			link.Concrete.Rules, link.Abstract.Rules, link.Abs, link.Concrete.Init,
-			trs.RefinementOptions{MaxStates: 500_000, MaxAbstractSteps: link.MaxAbstractSteps})
-		if err != nil {
-			t.Fatalf("%s: %v", link.Name, err)
-		}
+	if err := CheckRefinements(LossyChain(p, lb), 500_000, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -77,19 +77,20 @@ func Chain(p Params) []RefinementCheck {
 	}
 }
 
-// CheckRefinements verifies every link of the refinement chain on the given
-// bounded instance. maxStates bounds each concrete exploration (0 = engine
+// CheckRefinements verifies each link in order (Chain or LossyChain), calling
+// passed, when non-nil, after every link that holds. It stops at the first
+// link that fails. maxStates bounds each concrete exploration (0 = engine
 // default).
-func CheckRefinements(p Params, maxStates int) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	for _, link := range Chain(p) {
+func CheckRefinements(links []RefinementCheck, maxStates int, passed func(RefinementCheck)) error {
+	for _, link := range links {
 		err := trs.CheckRefinement(
 			link.Concrete.Rules, link.Abstract.Rules, link.Abs, link.Concrete.Init,
 			trs.RefinementOptions{MaxStates: maxStates, MaxAbstractSteps: link.MaxAbstractSteps})
 		if err != nil {
 			return fmt.Errorf("%s: %w", link.Name, err)
+		}
+		if passed != nil {
+			passed(link)
 		}
 	}
 	return nil

@@ -124,12 +124,6 @@ func generated(q trs.Bag, histories []trs.Seq) int {
 	return data + pendingTotal(q)
 }
 
-// circulations counts circulation events in the longest history.
-func circulations(histories []trs.Seq) int {
-	_, circ := countEvents(longestSeq(histories))
-	return circ
-}
-
 // transitRule is the message-passing rule shared by the distributed
 // systems: O | (x, (y, m)) moves to I | (y, (x, m)). The label and arity of
 // the state tuple vary per system, so the caller supplies the field layout:

@@ -48,12 +48,6 @@ type Params struct {
 	MaxPasses int
 }
 
-// DefaultParams returns a small instance suitable for exhaustive
-// exploration of every system.
-func DefaultParams() Params {
-	return Params{N: 3, MaxBroadcasts: 2, MaxPending: 1, MaxPasses: 3}
-}
-
 // Validate reports whether the parameters denote a checkable instance.
 func (p Params) Validate() error {
 	if p.N < 2 {

@@ -7,8 +7,8 @@ import (
 )
 
 func TestParamsValidate(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
-		t.Fatalf("default params invalid: %v", err)
+	if err := (Params{N: 3, MaxBroadcasts: 2, MaxPending: 1, MaxPasses: 3}).Validate(); err != nil {
+		t.Fatalf("small params invalid: %v", err)
 	}
 	if err := (Params{N: 1}).Validate(); err == nil {
 		t.Error("N=1 should be rejected")
@@ -171,9 +171,6 @@ func TestGeneratedCount(t *testing.T) {
 	hist := []trs.Seq{trs.NewSeq(dataEvent(1), circEvent(1))}
 	if g := generated(q, hist); g != 2 {
 		t.Errorf("generated = %d, want 2 (1 pending + 1 completed)", g)
-	}
-	if c := circulations(hist); c != 1 {
-		t.Errorf("circulations = %d, want 1", c)
 	}
 }
 

@@ -73,9 +73,6 @@ func (p *PromWriter) Histogram(name, help string, h *metrics.Histogram, labels .
 	p.sample(name+"_count", "", labels, float64(h.Count()))
 }
 
-// Err returns the first write error, if any.
-func (p *PromWriter) Err() error { return p.err }
-
 // Flush writes any buffered output and returns the sticky error.
 func (p *PromWriter) Flush() error {
 	if p.err == nil {

@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"sync"
 
-	"adaptivetoken/internal/history"
 	"adaptivetoken/internal/node"
 	"adaptivetoken/internal/transport"
 )
@@ -37,7 +36,7 @@ type Broadcaster struct {
 	mu        sync.Mutex
 	nextDeliv uint64           // next sequence number to deliver
 	pendingRx map[uint64]Entry // out-of-order buffer
-	log       *history.Log     // delivered history (the local prefix H_x)
+	log       []Entry          // delivered history (the local prefix H_x)
 	subs      []func(Entry)
 	maxSeen   uint64 // freshest sequence number observed anywhere
 }
@@ -51,7 +50,6 @@ func New(rt *node.Runtime, n int) *Broadcaster {
 		n:         n,
 		nextDeliv: 1,
 		pendingRx: make(map[uint64]Entry),
-		log:       history.New(),
 	}
 	rt.OnApp(b.onApp)
 	return b
@@ -129,7 +127,7 @@ func (b *Broadcaster) onApp(d transport.AppData) {
 		}
 		delete(b.pendingRx, b.nextDeliv)
 		b.nextDeliv++
-		b.log.Append(e.Node, history.KindData, e.Payload)
+		b.log = append(b.log, e)
 		ready = append(ready, e)
 	}
 	subs := append(make([]func(Entry), 0, len(b.subs)), b.subs...)
@@ -149,43 +147,10 @@ func (b *Broadcaster) Delivered() int {
 	return int(b.nextDeliv - 1)
 }
 
-// Log returns a snapshot of the delivered history — the node's local prefix
-// history in the paper's sense. The Clone here is load-bearing: the
-// snapshot escapes the mutex and must stay valid while deliveries keep
-// appending; callers that only need the round counter should use
-// LastCirculationSeq instead, which copies nothing.
-func (b *Broadcaster) Log() *history.Log {
+// Log returns a copy of the delivered history — the node's local prefix
+// history in the paper's sense, in delivery order.
+func (b *Broadcaster) Log() []Entry {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.log.Clone()
-}
-
-// LastCirculationSeq returns the history's round counter (the ⊂_C
-// comparison key) without snapshotting the log.
-func (b *Broadcaster) LastCirculationSeq() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.log.LastCirculationSeq()
-}
-
-// Backlog returns how many out-of-order messages are buffered.
-func (b *Broadcaster) Backlog() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.pendingRx)
-}
-
-// Compact drops delivered history entries beyond the newest retain ones —
-// the §4.4 round-counter bounding applied at the service level. Sequence
-// numbers and future prefix comparisons stay sound; only the old entries'
-// payloads are released.
-func (b *Broadcaster) Compact(retain int) {
-	if retain < 0 {
-		retain = 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.log.Live() > retain {
-		b.log.CompactTo(uint64(b.log.Len() - retain))
-	}
+	return append([]Entry(nil), b.log...)
 }

@@ -3,6 +3,7 @@ package tobcast
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -65,7 +66,7 @@ func waitDelivered(t *testing.T, bs []*Broadcaster, want int) {
 		}
 		if time.Now().After(deadline) {
 			for i, b := range bs {
-				t.Logf("node %d: delivered=%d backlog=%d", i, b.Delivered(), b.Backlog())
+				t.Logf("node %d: delivered=%d", i, b.Delivered())
 			}
 			t.Fatalf("timeout waiting for %d deliveries", want)
 		}
@@ -119,9 +120,11 @@ func TestAllNodesDeliverSameOrder(t *testing.T) {
 	waitDelivered(t, bs, n*perNode)
 
 	ref := bs[0].Log()
+	if len(ref) != n*perNode {
+		t.Fatalf("node 0 logged %d entries, want %d", len(ref), n*perNode)
+	}
 	for i := 1; i < n; i++ {
-		l := bs[i].Log()
-		if !ref.IsPrefixOf(l) || !l.IsPrefixOf(ref) {
+		if !slices.Equal(ref, bs[i].Log()) {
 			t.Fatalf("node %d order diverges", i)
 		}
 	}
@@ -190,46 +193,13 @@ func TestMembershipOverTotalOrder(t *testing.T) {
 	waitDelivered(t, bs, 4)
 
 	want := trackers[0].View()
-	if want.N() != 3 || !want.Contains(9) || want.Contains(1) || want.Contains(7) {
+	if len(want.Members) != 3 || !want.Contains(9) || want.Contains(1) || want.Contains(7) {
 		t.Fatalf("final view = %v", want)
 	}
 	for i := 1; i < n; i++ {
-		if !trackers[i].View().Equal(want) {
-			t.Fatalf("node %d view %v != %v", i, trackers[i].View(), want)
+		if got := trackers[i].View(); got.String() != want.String() {
+			t.Fatalf("node %d view %v != %v", i, got, want)
 		}
-	}
-}
-
-func TestCompactBoundsTheLog(t *testing.T) {
-	bs := testRing(t, 2)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for i := 0; i < 8; i++ {
-		if _, err := bs[0].Publish(ctx, "x"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitDelivered(t, bs, 8)
-	bs[0].Compact(3)
-	l := bs[0].Log()
-	if l.Live() != 3 || l.Len() != 8 {
-		t.Fatalf("after compaction: live=%d len=%d", l.Live(), l.Len())
-	}
-	// Sequencing continues gaplessly after compaction.
-	seq, err := bs[0].Publish(ctx, "y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 9 {
-		t.Errorf("seq after compaction = %d, want 9", seq)
-	}
-	bs[0].Compact(-1) // clamps to zero retained
-	if bs[0].Log().Live() != 0 {
-		t.Error("negative retain should clamp")
-	}
-	// The copy-free round-counter read agrees with the snapshot's.
-	if got, want := bs[0].LastCirculationSeq(), bs[0].Log().LastCirculationSeq(); got != want {
-		t.Errorf("LastCirculationSeq = %d, snapshot says %d", got, want)
 	}
 }
 

@@ -17,21 +17,6 @@ type Binding struct {
 // EmptyBinding returns a binding with no variables bound.
 func EmptyBinding() Binding { return Binding{} }
 
-// NewBinding builds a binding from a name→term map (convenient in tests and
-// in PCompute helpers).
-func NewBinding(m map[string]Term) Binding {
-	b := EmptyBinding()
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		b = b.Bind(k, m[k])
-	}
-	return b
-}
-
 // Get returns the term bound to name, if any.
 func (b Binding) Get(name string) (Term, bool) {
 	for cur := &b; cur != nil; cur = cur.parent {
@@ -87,16 +72,6 @@ func (b Binding) Int(name string) Int {
 		}
 	}
 	return 0
-}
-
-// Atom returns the atom bound to name, or "" when unbound or non-atom.
-func (b Binding) Atom(name string) Atom {
-	if t, ok := b.Get(name); ok {
-		if a, ok := t.(Atom); ok {
-			return a
-		}
-	}
-	return ""
 }
 
 // Map flattens the binding into a name→term map, honoring shadowing.

@@ -13,7 +13,7 @@ func ExampleMatchAll() {
 		trs.Pair(trs.Int(0), trs.Atom("φ")),
 		trs.Pair(trs.Int(1), trs.Atom("d")),
 	)
-	pat := trs.BagOf("Q", trs.Tup(trs.V("x"), trs.A("d")))
+	pat := trs.BagOf("Q", trs.Tup(trs.V("x"), trs.Lit(trs.Atom("d"))))
 	for _, b := range trs.MatchAll(pat, q) {
 		fmt.Println("ready node:", b.MustGet("x"))
 	}
@@ -50,14 +50,14 @@ func ExampleExplore() {
 	// states=4 violations=0
 }
 
-// ExampleReduce runs a deterministic reduction with the first-match
-// strategy.
+// ExampleReduce runs a seeded random reduction; each state here enables one
+// rule, so every seed takes the same path.
 func ExampleReduce() {
 	rules := []trs.Rule{
-		{Name: "a→b", LHS: trs.A("a"), RHS: trs.A("b")},
-		{Name: "b→c", LHS: trs.A("b"), RHS: trs.A("c")},
+		{Name: "a→b", LHS: trs.Lit(trs.Atom("a")), RHS: trs.Lit(trs.Atom("b"))},
+		{Name: "b→c", LHS: trs.Lit(trs.Atom("b")), RHS: trs.Lit(trs.Atom("c"))},
 	}
-	steps, final, _ := trs.Reduce(rules, trs.Atom("a"), trs.FirstStrategy{}, 10)
+	steps, final, _ := trs.Reduce(rules, trs.Atom("a"), trs.NewRandomStrategy(1), 10)
 	for _, s := range steps {
 		fmt.Printf("%s ⇒ %s\n", s.Rule, s.State)
 	}

@@ -73,9 +73,6 @@ type ExploreResult struct {
 	Err error
 }
 
-// OK reports whether exploration completed with no violations and no error.
-func (r *ExploreResult) OK() bool { return r.Err == nil && len(r.Violations) == 0 }
-
 type parentEdge struct {
 	parentKey string
 	rule      string

@@ -10,7 +10,7 @@ import (
 func TestExploreCounter(t *testing.T) {
 	sys := counterSystem(3)
 	res := Explore(sys.Rules, sys.Init, ExploreOptions{})
-	if !res.OK() {
+	if !(res.Err == nil && len(res.Violations) == 0) {
 		t.Fatalf("explore failed: %+v", res)
 	}
 	// States: bags of size 0..3 → 4 states.
@@ -46,7 +46,7 @@ func TestExploreInvariantHolds(t *testing.T) {
 			},
 		}},
 	})
-	if !res.OK() {
+	if !(res.Err == nil && len(res.Violations) == 0) {
 		t.Fatalf("invariant should hold: %+v", res.Violations)
 	}
 }
@@ -106,7 +106,7 @@ func TestExploreTerminalStates(t *testing.T) {
 	sys := System{
 		Name:  "oneshot",
 		Init:  Atom("a"),
-		Rules: []Rule{{Name: "ab", LHS: A("a"), RHS: A("b")}},
+		Rules: []Rule{{Name: "ab", LHS: Lit(Atom("a")), RHS: Lit(Atom("b"))}},
 	}
 	res := Explore(sys.Rules, sys.Init, ExploreOptions{})
 	if res.States != 2 || res.Terminal != 1 {
@@ -257,8 +257,8 @@ func TestCheckRefinementMultiStep(t *testing.T) {
 func TestCheckRefinementStutterAllowed(t *testing.T) {
 	// Concrete makes internal moves invisible to the abstraction.
 	concrete := []Rule{
-		{Name: "flip", LHS: Tup(A("i0"), V("v")), RHS: Tup(A("i1"), V("v"))},
-		{Name: "flop", LHS: Tup(A("i1"), V("v")), RHS: Tup(A("i0"), V("v"))},
+		{Name: "flip", LHS: Tup(Lit(Atom("i0")), V("v")), RHS: Tup(Lit(Atom("i1")), V("v"))},
+		{Name: "flop", LHS: Tup(Lit(Atom("i1")), V("v")), RHS: Tup(Lit(Atom("i0")), V("v"))},
 	}
 	abstract := []Rule{} // abstraction never moves
 	abs := func(s Term) Term { return s.(Tuple).At(1) }

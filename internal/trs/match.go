@@ -9,8 +9,6 @@ package trs
 // PCompute nodes never match: they are template-only.
 func Match(p Pattern, t Term, b Binding, yield func(Binding) bool) bool {
 	switch q := p.(type) {
-	case PWild:
-		return yield(b)
 	case PVar:
 		if prev, ok := b.Get(q.Name); ok {
 			// Non-linear pattern: repeated variables must match
@@ -44,42 +42,11 @@ func Match(p Pattern, t Term, b Binding, yield func(Binding) bool) bool {
 			return true
 		}
 		return matchBag(q, bt, b, yield)
-	case PSeq:
-		st, ok := t.(Seq)
-		if !ok {
-			return true
-		}
-		if q.Rest == "" && st.Len() != len(q.Elems) {
-			return true
-		}
-		if st.Len() < len(q.Elems) {
-			return true
-		}
-		prefix := st.elems[:len(q.Elems)]
-		rest := st.elems[len(q.Elems):]
-		return matchSlice(q.Elems, prefix, b, func(b2 Binding) bool {
-			if q.Rest == "" {
-				return yield(b2)
-			}
-			return bindChecked(b2, q.Rest, NewSeq(rest...), yield)
-		})
 	case PCompute:
 		return true
 	default:
 		return true
 	}
-}
-
-// MatchFirst returns the first binding under which p matches t, if any.
-func MatchFirst(p Pattern, t Term) (Binding, bool) {
-	var out Binding
-	found := false
-	Match(p, t, EmptyBinding(), func(b Binding) bool {
-		out = b
-		found = true
-		return false
-	})
-	return out, found
 }
 
 // MatchAll collects every binding under which p matches t.
@@ -90,12 +57,6 @@ func MatchAll(p Pattern, t Term) []Binding {
 		return true
 	})
 	return out
-}
-
-// Matches reports whether p matches t under at least one binding.
-func Matches(p Pattern, t Term) bool {
-	_, ok := MatchFirst(p, t)
-	return ok
 }
 
 // matchSlice matches patterns against terms position by position,

@@ -6,56 +6,42 @@ import (
 )
 
 func TestMatchVarBindsAnything(t *testing.T) {
-	b, ok := MatchFirst(V("x"), NewBag(Atom("a")))
-	if !ok {
-		t.Fatal("var should match")
+	all := MatchAll(V("x"), NewBag(Atom("a")))
+	if len(all) != 1 {
+		t.Fatalf("var should match once, got %d", len(all))
 	}
-	if got := b.MustGet("x"); !Equal(got, NewBag(Atom("a"))) {
+	if got := all[0].MustGet("x"); !Equal(got, NewBag(Atom("a"))) {
 		t.Fatalf("bound %v", got)
 	}
 }
 
 func TestMatchNonLinear(t *testing.T) {
 	p := Tup(V("x"), V("x"))
-	if !Matches(p, Pair(Atom("a"), Atom("a"))) {
+	if !matches(p, Pair(Atom("a"), Atom("a"))) {
 		t.Error("non-linear pattern should match equal elements")
 	}
-	if Matches(p, Pair(Atom("a"), Atom("b"))) {
+	if matches(p, Pair(Atom("a"), Atom("b"))) {
 		t.Error("non-linear pattern must not match unequal elements")
 	}
 }
 
-func TestMatchWildcard(t *testing.T) {
-	p := Tup(W(), V("y"))
-	b, ok := MatchFirst(p, Pair(Atom("a"), Int(7)))
-	if !ok {
-		t.Fatal("should match")
-	}
-	if _, bound := b.Get("_"); bound {
-		t.Error("wildcard must not bind")
-	}
-	if b.Int("y") != 7 {
-		t.Errorf("y = %v", b.MustGet("y"))
-	}
-}
-
 func TestMatchLiteralAndLabel(t *testing.T) {
-	if !Matches(A("τ"), Atom("τ")) {
+	if !matches(Lit(Atom("τ")), Atom("τ")) {
 		t.Error("atom literal should match itself")
 	}
-	if Matches(A("τ"), Atom("φ")) {
+	if matches(Lit(Atom("τ")), Atom("φ")) {
 		t.Error("atom literal must not match other atoms")
 	}
-	if Matches(LTup("trap", V("x")), NewTuple("data", Atom("x"))) {
+	if matches(LTup("trap", V("x")), NewTuple("data", Atom("x"))) {
 		t.Error("label mismatch must not match")
 	}
-	if !Matches(N(4), Int(4)) || Matches(N(4), Int(5)) {
+	if !matches(Lit(Int(4)), Int(4)) || matches(Lit(Int(4)), Int(5)) {
 		t.Error("int literal matching broken")
 	}
 }
 
 func TestMatchTupleArity(t *testing.T) {
-	if Matches(Tup(V("a")), Pair(Atom("x"), Atom("y"))) {
+	if matches(Tup(V("a")), Pair(Atom("x"), Atom("y"))) {
 		t.Error("arity mismatch must not match")
 	}
 }
@@ -69,7 +55,7 @@ func TestMatchBagPicksEachMember(t *testing.T) {
 	}
 	seen := map[Atom]bool{}
 	for _, b := range all {
-		seen[b.Atom("x")] = true
+		seen[b.MustGet("x").(Atom)] = true
 		rest := b.Bag("Q")
 		if rest.Len() != 2 {
 			t.Errorf("rest should have 2 members, got %d", rest.Len())
@@ -92,7 +78,7 @@ func TestMatchBagTwoDistinguished(t *testing.T) {
 		if b.Bag("R").Len() != 0 {
 			t.Error("rest should be empty")
 		}
-		if b.Atom("x") == b.Atom("y") {
+		if Equal(b.MustGet("x"), b.MustGet("y")) {
 			t.Error("distinguished members must be distinct bag elements")
 		}
 	}
@@ -100,42 +86,20 @@ func TestMatchBagTwoDistinguished(t *testing.T) {
 
 func TestMatchBagExact(t *testing.T) {
 	p := BagOf("", V("x"))
-	if Matches(p, NewBag(Atom("a"), Atom("b"))) {
+	if matches(p, NewBag(Atom("a"), Atom("b"))) {
 		t.Error("exact bag pattern must not match larger bag")
 	}
-	if !Matches(p, NewBag(Atom("a"))) {
+	if !matches(p, NewBag(Atom("a"))) {
 		t.Error("exact bag pattern should match singleton")
 	}
-	if Matches(BagOf("R", V("x")), EmptyBag()) {
+	if matches(BagOf("R", V("x")), EmptyBag()) {
 		t.Error("cannot pick a member from empty bag")
-	}
-}
-
-func TestMatchSeq(t *testing.T) {
-	s := NewSeq(Atom("a"), Atom("b"), Atom("c"))
-	p := PSeq{Elems: []Pattern{V("h")}, Rest: "T"}
-	b, ok := MatchFirst(p, s)
-	if !ok {
-		t.Fatal("prefix seq should match")
-	}
-	if b.Atom("h") != "a" {
-		t.Errorf("h = %v", b.MustGet("h"))
-	}
-	if got := b.Seq("T"); !Equal(got, NewSeq(Atom("b"), Atom("c"))) {
-		t.Errorf("T = %s", got)
-	}
-	exact := PSeq{Elems: []Pattern{V("a"), V("b"), V("c")}}
-	if !Matches(exact, s) {
-		t.Error("exact seq should match")
-	}
-	if Matches(PSeq{Elems: []Pattern{V("a")}}, s) {
-		t.Error("exact shorter seq must not match")
 	}
 }
 
 func TestMatchComputeNeverMatches(t *testing.T) {
 	p := Compute("k", func(Binding) Term { return Atom("x") })
-	if Matches(p, Atom("x")) {
+	if matches(p, Atom("x")) {
 		t.Error("PCompute must not match")
 	}
 }
@@ -152,6 +116,9 @@ func TestMatchEarlyStop(t *testing.T) {
 	}
 }
 
+// matches reports whether p matches t under at least one binding.
+func matches(p Pattern, t Term) bool { return len(MatchAll(p, t)) > 0 }
+
 // termToPattern converts a ground term into a literal-equivalent pattern.
 func termToPattern(t Term) Pattern {
 	switch x := t.(type) {
@@ -167,12 +134,6 @@ func termToPattern(t Term) Pattern {
 			elems[i] = termToPattern(x.At(i))
 		}
 		return PBag{Elems: elems}
-	case Seq:
-		elems := make([]Pattern, x.Len())
-		for i := range elems {
-			elems[i] = termToPattern(x.At(i))
-		}
-		return PSeq{Elems: elems}
 	default:
 		return PLit{Value: t}
 	}
@@ -180,7 +141,7 @@ func termToPattern(t Term) Pattern {
 
 func TestQuickTermMatchesItsOwnPattern(t *testing.T) {
 	f := func(g termGen) bool {
-		return Matches(termToPattern(g.T), g.T)
+		return matches(termToPattern(g.T), g.T)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -189,11 +150,11 @@ func TestQuickTermMatchesItsOwnPattern(t *testing.T) {
 
 func TestQuickVarMatchRoundTripsThroughBuild(t *testing.T) {
 	f := func(g termGen) bool {
-		b, ok := MatchFirst(V("x"), g.T)
-		if !ok {
+		all := MatchAll(V("x"), g.T)
+		if len(all) != 1 {
 			return false
 		}
-		built, err := Build(V("x"), b)
+		built, err := Build(V("x"), all[0])
 		return err == nil && Equal(built, g.T)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -224,9 +185,6 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(V("missing"), EmptyBinding()); err == nil {
 		t.Error("unbound var must error")
 	}
-	if _, err := Build(W(), EmptyBinding()); err == nil {
-		t.Error("wildcard template must error")
-	}
 	if _, err := Build(BagOf("R"), EmptyBinding()); err == nil {
 		t.Error("unbound bag rest must error")
 	}
@@ -236,9 +194,6 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if _, err := Build(Compute("nil", func(Binding) Term { return nil }), EmptyBinding()); err == nil {
 		t.Error("nil compute must error")
-	}
-	if _, err := Build(PSeq{Rest: "S"}, EmptyBinding()); err == nil {
-		t.Error("unbound seq rest must error")
 	}
 }
 
@@ -256,17 +211,16 @@ func TestBuildBagWithRest(t *testing.T) {
 }
 
 func TestBindingHelpers(t *testing.T) {
-	b := NewBinding(map[string]Term{
-		"s": NewSeq(Atom("e")),
-		"g": NewBag(Atom("e")),
-		"i": Int(3),
-		"a": Atom("z"),
-	})
-	if b.Seq("s").Len() != 1 || b.Bag("g").Len() != 1 || b.Int("i") != 3 || b.Atom("a") != "z" {
+	b := EmptyBinding().
+		Bind("s", NewSeq(Atom("e"))).
+		Bind("g", NewBag(Atom("e"))).
+		Bind("i", Int(3)).
+		Bind("a", Atom("z"))
+	if b.Seq("s").Len() != 1 || b.Bag("g").Len() != 1 || b.Int("i") != 3 || !Equal(b.MustGet("a"), Atom("z")) {
 		t.Error("typed getters broken")
 	}
 	// Wrong-type and missing lookups return zero values.
-	if b.Seq("i").Len() != 0 || b.Bag("a").Len() != 0 || b.Int("s") != 0 || b.Atom("g") != "" {
+	if b.Seq("i").Len() != 0 || b.Bag("a").Len() != 0 || b.Int("s") != 0 || b.MustGet("nope") != nil {
 		t.Error("zero-value fallbacks broken")
 	}
 	if b.Seq("nope").Len() != 0 {

@@ -27,15 +27,6 @@ func (PVar) isPattern() {}
 // String implements Pattern.
 func (p PVar) String() string { return "$" + p.Name }
 
-// PWild matches any term without binding. It corresponds to the paper's '−'
-// wildcard. PWild is not allowed in right-hand-side templates.
-type PWild struct{}
-
-func (PWild) isPattern() {}
-
-// String implements Pattern.
-func (PWild) String() string { return "−" }
-
 // PLit matches exactly the literal term Value (an atom, integer, or any
 // fully ground term).
 type PLit struct {
@@ -91,28 +82,6 @@ func (p PBag) String() string {
 	return strings.Join(parts, " | ")
 }
 
-// PSeq matches a sequence exactly element-wise; if Rest is non-empty the
-// element patterns match a prefix and the remaining suffix binds to Rest.
-type PSeq struct {
-	Elems []Pattern
-	Rest  string
-}
-
-func (PSeq) isPattern() {}
-
-// String implements Pattern.
-func (p PSeq) String() string {
-	parts := make([]string, len(p.Elems))
-	for i, e := range p.Elems {
-		parts[i] = e.String()
-	}
-	s := "⟨" + strings.Join(parts, "⊕")
-	if p.Rest != "" {
-		s += "⊕$" + p.Rest + "…"
-	}
-	return s + "⟩"
-}
-
 // PCompute is a template-only node: Build evaluates Fn under the current
 // binding. It expresses computed right-hand sides such as H ⊕ d_x or
 // u = x^{+n/2}. PCompute never matches during pattern matching.
@@ -136,17 +105,8 @@ func (p PCompute) String() string {
 // V returns a variable pattern.
 func V(name string) Pattern { return PVar{Name: name} }
 
-// W returns the wildcard pattern.
-func W() Pattern { return PWild{} }
-
 // Lit returns a literal pattern for a ground term.
 func Lit(t Term) Pattern { return PLit{Value: t} }
-
-// A returns a literal atom pattern.
-func A(name string) Pattern { return PLit{Value: Atom(name)} }
-
-// N returns a literal integer pattern.
-func N(v int64) Pattern { return PLit{Value: Int(v)} }
 
 // Tup returns an unlabeled tuple pattern.
 func Tup(elems ...Pattern) Pattern { return PTuple{Elems: elems} }
@@ -162,8 +122,7 @@ func BagOf(rest string, elems ...Pattern) Pattern { return PBag{Elems: elems, Re
 func Compute(desc string, fn func(Binding) Term) Pattern { return PCompute{Desc: desc, Fn: fn} }
 
 // Build instantiates a pattern as a term under b. It returns an error if the
-// pattern contains wildcards, unbound variables, or a PCompute returning
-// nil.
+// pattern contains unbound variables or a PCompute returning nil.
 func Build(p Pattern, b Binding) (Term, error) {
 	switch q := p.(type) {
 	case PVar:
@@ -172,8 +131,6 @@ func Build(p Pattern, b Binding) (Term, error) {
 			return nil, fmt.Errorf("build: unbound variable $%s", q.Name)
 		}
 		return t, nil
-	case PWild:
-		return nil, fmt.Errorf("build: wildcard in template")
 	case PLit:
 		return q.Value, nil
 	case PTuple:
@@ -207,27 +164,6 @@ func Build(p Pattern, b Binding) (Term, error) {
 			elems = append(elems, t)
 		}
 		return NewBag(elems...), nil
-	case PSeq:
-		var elems []Term
-		for _, e := range q.Elems {
-			t, err := Build(e, b)
-			if err != nil {
-				return nil, err
-			}
-			elems = append(elems, t)
-		}
-		if q.Rest != "" {
-			rest, ok := b.Get(q.Rest)
-			if !ok {
-				return nil, fmt.Errorf("build: unbound seq rest $%s", q.Rest)
-			}
-			rs, ok := rest.(Seq)
-			if !ok {
-				return nil, fmt.Errorf("build: rest $%s is %s, want seq", q.Rest, rest.Kind())
-			}
-			elems = append(elems, rs.elems...)
-		}
-		return NewSeq(elems...), nil
 	case PCompute:
 		t := q.Fn(b)
 		if t == nil {

@@ -45,9 +45,8 @@ func wellFormed(t Term) bool {
 	}
 }
 
-// TestQuickMatchSoundness: whenever a pure pattern (no computes, no
-// wildcards) matches a term, building the LHS under the binding reproduces
-// the term exactly.
+// TestQuickMatchSoundness: whenever a pure pattern (no computes) matches a
+// term, building the LHS under the binding reproduces the term exactly.
 func TestQuickMatchSoundness(t *testing.T) {
 	f := func(g1, g2, g3 termGen) bool {
 		bag := NewBag(g1.T, g2.T, g3.T)

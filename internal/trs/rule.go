@@ -65,8 +65,7 @@ func (a Application) String() string {
 
 // Applications enumerates every enabled application of every rule at state,
 // in rule order. Matching is at the root: the paper's protocol rules pattern
-// the entire global state tuple. (Use ApplicationsAnywhere for general
-// subterm rewriting.)
+// the entire global state tuple.
 func Applications(rules []Rule, state Term) ([]Application, error) {
 	var out []Application
 	for _, r := range rules {
@@ -86,106 +85,6 @@ func Applications(rules []Rule, state Term) ([]Application, error) {
 		if buildErr != nil {
 			return nil, buildErr
 		}
-	}
-	return out, nil
-}
-
-// Successors returns the deduplicated successor states of state under rules,
-// with the names of the rules that produce each.
-func Successors(rules []Rule, state Term) (map[string][]string, error) {
-	apps, err := Applications(rules, state)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]string)
-	for _, a := range apps {
-		k := Key(a.Next)
-		names := out[k]
-		seen := false
-		for _, n := range names {
-			if n == a.Rule.Name {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			out[k] = append(names, a.Rule.Name)
-		}
-	}
-	return out, nil
-}
-
-// ApplicationsAnywhere enumerates applications of rules at the root and at
-// every subterm of state, rebuilding the surrounding context. This supports
-// classic TRS subterm rewriting; the paper's systems only need root
-// rewriting, but the engine is general.
-func ApplicationsAnywhere(rules []Rule, state Term) ([]Application, error) {
-	var out []Application
-	var visit func(t Term, rebuild func(Term) Term) error
-	visit = func(t Term, rebuild func(Term) Term) error {
-		for _, r := range rules {
-			var buildErr error
-			Match(r.LHS, t, EmptyBinding(), func(b Binding) bool {
-				if r.Guard != nil && !r.Guard(b) {
-					return true
-				}
-				next, err := Build(r.RHS, b)
-				if err != nil {
-					buildErr = fmt.Errorf("rule %s: %w", r.Name, err)
-					return false
-				}
-				out = append(out, Application{Rule: r, Binding: b, Next: rebuild(next)})
-				return true
-			})
-			if buildErr != nil {
-				return buildErr
-			}
-		}
-		switch tt := t.(type) {
-		case Tuple:
-			for i := range tt.elems {
-				i := i
-				child := tt.elems[i]
-				err := visit(child, func(repl Term) Term {
-					elems := tt.Elems()
-					elems[i] = repl
-					return rebuild(NewTuple(tt.label, elems...))
-				})
-				if err != nil {
-					return err
-				}
-			}
-		case Bag:
-			for i := range tt.elems {
-				i := i
-				child := tt.elems[i]
-				err := visit(child, func(repl Term) Term {
-					elems := tt.Elems()
-					elems[i] = repl
-					return rebuild(NewBag(elems...))
-				})
-				if err != nil {
-					return err
-				}
-			}
-		case Seq:
-			for i := range tt.elems {
-				i := i
-				child := tt.elems[i]
-				err := visit(child, func(repl Term) Term {
-					elems := tt.Elems()
-					elems[i] = repl
-					return rebuild(NewSeq(elems...))
-				})
-				if err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := visit(state, func(t Term) Term { return t }); err != nil {
-		return nil, err
 	}
 	return out, nil
 }

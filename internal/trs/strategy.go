@@ -13,18 +13,6 @@ type Strategy interface {
 	Pick(apps []Application, step int) int
 }
 
-// FirstStrategy deterministically applies the first enabled application (in
-// rule declaration order, then match order).
-type FirstStrategy struct{}
-
-// Pick implements Strategy.
-func (FirstStrategy) Pick(apps []Application, _ int) int {
-	if len(apps) == 0 {
-		return -1
-	}
-	return 0
-}
-
 // RandomStrategy picks uniformly at random using a deterministic xorshift
 // generator, so reductions are reproducible per seed.
 type RandomStrategy struct {
@@ -49,34 +37,6 @@ func (s *RandomStrategy) Pick(apps []Application, _ int) int {
 	s.state ^= s.state >> 7
 	s.state ^= s.state << 17
 	return int(s.state % uint64(len(apps)))
-}
-
-// PriorityStrategy applies the enabled application whose rule name appears
-// earliest in Order; rules not listed are considered last, and ties fall to
-// match order.
-type PriorityStrategy struct {
-	Order []string
-}
-
-// Pick implements Strategy.
-func (s PriorityStrategy) Pick(apps []Application, _ int) int {
-	if len(apps) == 0 {
-		return -1
-	}
-	best, bestRank := -1, int(^uint(0)>>1)
-	for i, a := range apps {
-		rank := len(s.Order)
-		for r, name := range s.Order {
-			if a.Rule.Name == name {
-				rank = r
-				break
-			}
-		}
-		if rank < bestRank {
-			best, bestRank = i, rank
-		}
-	}
-	return best
 }
 
 // Step records one step of a reduction.

@@ -4,9 +4,18 @@ import (
 	"testing"
 )
 
+// firstStrategy applies the first enabled application (in rule declaration
+// order, then match order), making a reduction deterministic.
+var firstStrategy = strategyFunc(func(apps []Application, _ int) int {
+	if len(apps) == 0 {
+		return -1
+	}
+	return 0
+})
+
 func TestReduceFirstStrategy(t *testing.T) {
 	sys := counterSystem(2)
-	steps, final, err := Reduce(sys.Rules, sys.Init, FirstStrategy{}, 2)
+	steps, final, err := Reduce(sys.Rules, sys.Init, firstStrategy, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,9 +38,9 @@ func TestReduceStopsWhenStuck(t *testing.T) {
 	sys := System{
 		Name:  "oneshot",
 		Init:  Atom("a"),
-		Rules: []Rule{{Name: "ab", LHS: A("a"), RHS: A("b")}},
+		Rules: []Rule{{Name: "ab", LHS: Lit(Atom("a")), RHS: Lit(Atom("b"))}},
 	}
-	steps, final, err := Reduce(sys.Rules, sys.Init, FirstStrategy{}, 100)
+	steps, final, err := Reduce(sys.Rules, sys.Init, firstStrategy, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,34 +79,9 @@ func TestRandomStrategyDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestPriorityStrategy(t *testing.T) {
-	sys := counterSystem(3)
-	// Prefer drop; from a state with one c, drop wins over inc.
-	state := Pair(NewBag(Atom("c")), Int(3))
-	apps, err := Applications(sys.Rules, state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := PriorityStrategy{Order: []string{"drop", "inc"}}.Pick(apps, 0)
-	if apps[idx].Rule.Name != "drop" {
-		t.Errorf("picked %s, want drop", apps[idx].Rule.Name)
-	}
-	// Unlisted rules rank last.
-	idx2 := PriorityStrategy{Order: []string{"drop"}}.Pick(apps, 0)
-	if apps[idx2].Rule.Name != "drop" {
-		t.Errorf("picked %s, want drop", apps[idx2].Rule.Name)
-	}
-}
-
 func TestStrategiesOnEmpty(t *testing.T) {
-	if (FirstStrategy{}).Pick(nil, 0) != -1 {
-		t.Error("first on empty should stop")
-	}
 	if NewRandomStrategy(1).Pick(nil, 0) != -1 {
 		t.Error("random on empty should stop")
-	}
-	if (PriorityStrategy{}).Pick(nil, 0) != -1 {
-		t.Error("priority on empty should stop")
 	}
 }
 
@@ -118,7 +102,7 @@ func (f strategyFunc) Pick(apps []Application, step int) int { return f(apps, st
 
 func TestReduceBuildErrorPropagates(t *testing.T) {
 	bad := []Rule{{Name: "bad", LHS: V("x"), RHS: V("y")}}
-	_, _, err := Reduce(bad, Atom("a"), FirstStrategy{}, 3)
+	_, _, err := Reduce(bad, Atom("a"), firstStrategy, 3)
 	if err == nil {
 		t.Fatal("expected build error")
 	}

@@ -12,12 +12,13 @@
 //   - bags — multisets joined by the associative-commutative '|' connective,
 //   - sequences — ordered lists built with the ⊕ append operator (histories).
 //
-// Patterns over these terms support variables, wildcards, bag patterns with
-// a "rest" variable (matching "Q | (x, d)" style left-hand sides) and guard
-// predicates. Rules pair a left-hand-side pattern with a right-hand-side
-// template; the engine enumerates every rule application at a state, runs
-// reductions under pluggable strategies, and exhaustively explores bounded
-// state spaces while checking invariants and refinement mappings.
+// Patterns over these terms support variables, literals, tuple patterns,
+// bag patterns with a "rest" variable (matching "Q | (x, d)" style
+// left-hand sides) and guard predicates. Rules pair a left-hand-side
+// pattern with a right-hand-side template; the engine enumerates every
+// rule application at a state, runs reductions under pluggable strategies,
+// and exhaustively explores bounded state spaces while checking invariants
+// and refinement mappings.
 package trs
 
 import (
@@ -136,13 +137,6 @@ func (t Tuple) Len() int { return len(t.elems) }
 // At returns the i-th element.
 func (t Tuple) At(i int) Term { return t.elems[i] }
 
-// Elems returns a copy of the element slice.
-func (t Tuple) Elems() []Term {
-	cp := make([]Term, len(t.elems))
-	copy(cp, t.elems)
-	return cp
-}
-
 // String implements Term.
 func (t Tuple) String() string {
 	var sb strings.Builder
@@ -214,22 +208,6 @@ func (b Bag) Add(t Term) Bag {
 	return NewBag(elems...)
 }
 
-// Union returns the multiset union of b and other.
-func (b Bag) Union(other Bag) Bag {
-	elems := make([]Term, 0, len(b.elems)+len(other.elems))
-	elems = append(elems, b.elems...)
-	elems = append(elems, other.elems...)
-	return NewBag(elems...)
-}
-
-// without returns a bag with the element at index i removed.
-func (b Bag) without(i int) Bag {
-	elems := make([]Term, 0, len(b.elems)-1)
-	elems = append(elems, b.elems[:i]...)
-	elems = append(elems, b.elems[i+1:]...)
-	return Bag{elems: elems} // removal preserves sortedness
-}
-
 // String implements Term.
 func (b Bag) String() string {
 	if len(b.elems) == 0 {
@@ -276,13 +254,6 @@ func (s Seq) Len() int { return len(s.elems) }
 
 // At returns the i-th element.
 func (s Seq) At(i int) Term { return s.elems[i] }
-
-// Elems returns a copy of the elements in order.
-func (s Seq) Elems() []Term {
-	cp := make([]Term, len(s.elems))
-	copy(cp, s.elems)
-	return cp
-}
 
 // Append returns s ⊕ t, a new sequence with t appended.
 func (s Seq) Append(t Term) Seq {

@@ -91,21 +91,17 @@ func TestBagIsMultiset(t *testing.T) {
 	}
 }
 
-func TestBagAddUnionWithout(t *testing.T) {
+func TestBagAdd(t *testing.T) {
 	b := EmptyBag().Add(Atom("b")).Add(Atom("a"))
 	if b.Len() != 2 || b.At(0) != Atom("a") {
 		t.Fatalf("Add/canonical order broken: %s", b)
 	}
-	u := b.Union(NewBag(Int(1)))
+	u := b.Add(Int(1))
 	if u.Len() != 3 {
-		t.Fatalf("Union len = %d, want 3", u.Len())
-	}
-	w := u.without(0)
-	if w.Len() != 2 {
-		t.Fatalf("without len = %d, want 2", w.Len())
+		t.Fatalf("Add len = %d, want 3", u.Len())
 	}
 	// Original is untouched (immutability).
-	if b.Len() != 2 || u.Len() != 3 {
+	if b.Len() != 2 {
 		t.Fatal("bags must be immutable")
 	}
 }
@@ -150,11 +146,6 @@ func TestTupleAccessors(t *testing.T) {
 	}
 	if tp.At(1) != Int(4) {
 		t.Fatalf("At(1) = %v", tp.At(1))
-	}
-	elems := tp.Elems()
-	elems[0] = Atom("mutated")
-	if tp.At(0) != Atom("x") {
-		t.Fatal("Elems must return a copy")
 	}
 }
 
@@ -229,9 +220,7 @@ func TestQuickEqualIffKeyEqual(t *testing.T) {
 
 func TestQuickBagUnionCommutative(t *testing.T) {
 	f := func(g1, g2 termGen) bool {
-		b1 := NewBag(g1.T)
-		b2 := NewBag(g2.T)
-		return Equal(b1.Union(b2), b2.Union(b1))
+		return Equal(NewBag(g1.T).Add(g2.T), NewBag(g2.T).Add(g1.T))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -6,11 +6,7 @@
 // infrequent").
 package workload
 
-import (
-	"fmt"
-
-	"adaptivetoken/internal/sim"
-)
+import "adaptivetoken/internal/sim"
 
 // Request is one generated token request.
 type Request struct {
@@ -39,22 +35,6 @@ type Poisson struct {
 func (p Poisson) Next(rng *sim.RNG, prev sim.Time) (Request, bool) {
 	gap := rng.ExpTime(p.MeanGap)
 	return Request{At: prev + gap, Node: rng.Intn(p.N)}, true
-}
-
-// FixedInterval issues a request exactly every Gap time units at uniformly
-// random nodes.
-type FixedInterval struct {
-	N   int
-	Gap sim.Time
-}
-
-// Next implements Generator.
-func (f FixedInterval) Next(rng *sim.RNG, prev sim.Time) (Request, bool) {
-	gap := f.Gap
-	if gap < 1 {
-		gap = 1
-	}
-	return Request{At: prev + gap, Node: rng.Intn(f.N)}, true
 }
 
 // Bursty alternates idle periods (mean IdleGap) with bursts of BurstSize
@@ -137,15 +117,4 @@ func Take(g Generator, rng *sim.RNG, count int) []Request {
 		prev = req.At
 	}
 	return out
-}
-
-// Validate sanity-checks common generator parameters.
-func Validate(n int, meanGap float64) error {
-	if n < 1 {
-		return fmt.Errorf("workload: %d nodes", n)
-	}
-	if meanGap <= 0 {
-		return fmt.Errorf("workload: mean gap %v", meanGap)
-	}
-	return nil
 }

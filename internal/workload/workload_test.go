@@ -36,23 +36,6 @@ func TestPoissonMonotoneTimes(t *testing.T) {
 	}
 }
 
-func TestFixedInterval(t *testing.T) {
-	g := FixedInterval{N: 4, Gap: 7}
-	rng := sim.NewRNG(3)
-	reqs := Take(g, rng, 5)
-	for i, r := range reqs {
-		if r.At != sim.Time(7*(i+1)) {
-			t.Errorf("req %d at %d", i, r.At)
-		}
-	}
-	// Degenerate gap clamps to 1.
-	g0 := FixedInterval{N: 4, Gap: 0}
-	r0, _ := g0.Next(rng, 10)
-	if r0.At != 11 {
-		t.Errorf("clamped gap: at = %d", r0.At)
-	}
-}
-
 func TestBursty(t *testing.T) {
 	g := &Bursty{N: 6, BurstSize: 3, WithinGap: 1, IdleGap: 100}
 	rng := sim.NewRNG(4)
@@ -97,17 +80,5 @@ func TestAllAtOnce(t *testing.T) {
 		if r.At != 100 || r.Node != i {
 			t.Errorf("req %d = %+v", i, r)
 		}
-	}
-}
-
-func TestValidate(t *testing.T) {
-	if err := Validate(0, 10); err == nil {
-		t.Error("zero nodes must fail")
-	}
-	if err := Validate(5, 0); err == nil {
-		t.Error("zero gap must fail")
-	}
-	if err := Validate(5, 1); err != nil {
-		t.Errorf("valid params: %v", err)
 	}
 }
