@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-mem vet fmt loc deadcode check clean torture torture-shards fuzz smoke-live trace-demo profile-sim profile-sim-big
+.PHONY: build test race bench bench-mem vet fmt loc deadcode check clean torture fuzz smoke-live trace-demo profile-sim profile-sim-big
 
 build:
 	$(GO) build ./...
@@ -72,17 +72,6 @@ bench-mem:
 torture: build
 	$(GO) run ./cmd/tokensim -torture -artifact-dir artifacts
 
-# Sharded torture families on the keyspace-sharded cluster: three
-# independent BinarySearch rings behind the router, faults confined to
-# chosen shards, each shard's driver running its own token census. Ends
-# "27 scenarios, 0 failures". Failures carry per-shard fault schedules and
-# shrink shard by shard. See EXPERIMENTS.md ("Sharded fig9") and DESIGN.md
-# §12.
-torture-shards: build
-	$(GO) run ./cmd/tokensim -torture \
-		-torture-mix shard-clean,shard-lossy,shard-crash \
-		-torture-variants binsearch -artifact-dir artifacts
-
 # Live TCP smoke: boot a 2-shard 6-process ringnode cluster through the
 # orchestrator (cmd/ringload) under a short open-loop load window, probing
 # /healthz, the shard-labeled /metrics series and a live CPU profile while
@@ -136,13 +125,11 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzEventHeap -fuzztime 10s ./internal/sim/
 	$(GO) test -run XXX -fuzz FuzzTimingWheel -fuzztime 10s ./internal/sim/
 	$(GO) test -run XXX -fuzz FuzzPromEncoder -fuzztime 10s ./internal/telemetry/
-	$(GO) test -run XXX -fuzz FuzzShardRouter -fuzztime 10s ./internal/shard/
 	$(GO) test -run XXX -fuzz FuzzFrameCodec -fuzztime 10s ./internal/transport/
 
-# The full torture sweep and the shard sweep ride along (~1 min; each exits
-# 1 on any failing scenario), so a red fence is a red build locally too,
-# not only in CI.
-check: build vet fmt deadcode test race torture torture-shards
+# The full torture sweep rides along (~1 min; it exits 1 on any failing
+# scenario), so a red fence is a red build locally too, not only in CI.
+check: build vet fmt deadcode test race torture
 
 clean:
 	$(GO) clean ./...

@@ -129,9 +129,10 @@ func TestThreeNodeRingServesMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins up a real TCP ring")
 	}
-	addrs := freePorts(t, 3)
+	// One call, so no metrics port can repeat a ring port.
+	ports := freePorts(t, 6)
+	addrs, maddrs := ports[:3], ports[3:]
 	peers := addrs[0] + "," + addrs[1] + "," + addrs[2]
-	maddrs := freePorts(t, 3)
 
 	var wg sync.WaitGroup
 	errs := make([]error, 3)

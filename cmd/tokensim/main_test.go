@@ -142,7 +142,7 @@ func TestRunAll(t *testing.T) {
 // digit, so it would pin last-place float differences (FMA) that vary by
 // architecture, while %.2f does not.
 func TestAllTablesGolden(t *testing.T) {
-	const golden = "cce8aa723fb260bff5efd829d2bd4cf515cee84f20b59558e16417e332376e65"
+	const golden = "3f99ab13da2a9047b1c9c08b208aed62e5473b901aa2aff0e1bdbede937e0488"
 	args := []string{"-exp", "all", "-requests", "300", "-seed", "1", "-parallel"}
 	var seq, par strings.Builder
 	if err := run(append(args, "1"), &seq); err != nil {

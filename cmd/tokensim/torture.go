@@ -80,12 +80,8 @@ func runReplay(path string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	acts := len(f.Schedule.Actions)
-	for _, s := range f.Shards {
-		acts += len(s.Actions)
-	}
 	fmt.Fprintf(out, "replaying %s/%s seed=%d with %d fault actions\n",
-		f.Scenario.Variant, f.Scenario.Mix, f.Scenario.Seed, acts)
+		f.Scenario.Variant, f.Scenario.Mix, f.Scenario.Seed, len(f.Schedule.Actions))
 	fmt.Fprintf(out, "recorded violation: %s\n", f.Err)
 	rep := f.Reproduce()
 	if rep.Err == nil {

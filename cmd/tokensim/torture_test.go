@@ -54,6 +54,24 @@ func TestRunTortureBadMix(t *testing.T) {
 	}
 }
 
+// TestRunTortureBadInputs: a negative seed count, a ring too small for the
+// mix and a negative request count each fail before any scenario runs.
+func TestRunTortureBadInputs(t *testing.T) {
+	for _, args := range [][]string{
+		{"-torture", "-torture-seeds", "-1"},
+		{"-torture", "-torture-n", "1", "-torture-mix", "crash"},
+		{"-torture", "-torture-requests", "-5"},
+	} {
+		var sb strings.Builder
+		if err := run(args, &sb); err == nil {
+			t.Errorf("run(%v) succeeded", args)
+		}
+		if strings.Contains(sb.String(), "seed=") {
+			t.Errorf("run(%v) ran scenarios:\n%s", args, sb.String())
+		}
+	}
+}
+
 // TestRunReplayMissingArtifact: -replay of a nonexistent path fails cleanly.
 func TestRunReplayMissingArtifact(t *testing.T) {
 	var sb strings.Builder

@@ -26,9 +26,6 @@ type experiment struct {
 	// generators must not be shared between jobs).
 	runs []runFn
 	cols []column
-	// custom renders the whole table itself: for the one experiment whose
-	// cell is not one driver run (fig9shard runs a cluster of rings per x).
-	custom func(Options) (Table, error)
 	// heavy keeps the experiment out of All() and runs its jobs one at a
 	// time whatever Options.Parallelism says: fig9big's 10⁵–10⁶-node rings
 	// alive at once would multiply the peak heap.
@@ -54,9 +51,6 @@ func (e *experiment) table(opts Options) (Table, error) {
 	opts = opts.withDefaults()
 	if e.heavy {
 		opts.Parallelism = 1
-	}
-	if e.custom != nil {
-		return e.custom(opts)
 	}
 	t := Table{Name: e.name, XLabel: e.xlabel}
 	for _, c := range e.cols {
@@ -317,7 +311,6 @@ var experiments = []experiment{
 		cols:  fig9Cols,
 		heavy: true,
 	},
-	{id: "fig9shard", custom: figure9Shard},
 	{
 		// Figure 10: average responsiveness at n = 100 as the load decreases
 		// (mean request gap grows).

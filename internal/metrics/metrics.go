@@ -120,13 +120,6 @@ func (r *Responsiveness) Granted(t int64) {
 // ReadyCount returns the number of currently ready nodes.
 func (r *Responsiveness) ReadyCount() int { return r.readyCount }
 
-// Samples returns a copy of the recorded interval lengths.
-func (r *Responsiveness) Samples() []float64 {
-	cp := make([]float64, len(r.samples))
-	copy(cp, r.samples)
-	return cp
-}
-
 // Summary summarizes the recorded intervals.
 func (r *Responsiveness) Summary() Summary { return Summarize(r.samples) }
 

@@ -101,7 +101,7 @@ func TestResponsivenessSingleRequest(t *testing.T) {
 	var r Responsiveness
 	r.RequestArrived(10)
 	r.Granted(17)
-	s := r.Samples()
+	s := r.samples
 	if len(s) != 1 || s[0] != 7 {
 		t.Fatalf("samples = %v", s)
 	}
@@ -118,7 +118,7 @@ func TestResponsivenessOverlappingRequests(t *testing.T) {
 	r.RequestArrived(2) // second waiter
 	r.Granted(5)        // sample 5-0 = 5; interval reopens at 5
 	r.Granted(9)        // sample 9-5 = 4; no waiters left
-	s := r.Samples()
+	s := r.samples
 	if len(s) != 2 || s[0] != 5 || s[1] != 4 {
 		t.Fatalf("samples = %v", s)
 	}
@@ -127,7 +127,7 @@ func TestResponsivenessOverlappingRequests(t *testing.T) {
 	}
 	// A grant with no open interval records nothing.
 	r.Granted(12)
-	if len(r.Samples()) != 2 {
+	if len(r.samples) != 2 {
 		t.Error("spurious sample")
 	}
 }

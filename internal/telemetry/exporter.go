@@ -23,7 +23,7 @@ type Exporter struct {
 	// (use -1 for an aggregate endpoint covering a whole cluster).
 	Node int
 	// Shard, when non-empty, adds a shard="<Shard>" label to every series
-	// the exporter writes — the sharded layer's per-ring view. Several
+	// the exporter writes — one ring of a multi-ring deployment. Several
 	// exporters with distinct Shard values can share one PromWriter; the
 	// writer deduplicates the HELP/TYPE headers.
 	Shard string

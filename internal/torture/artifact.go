@@ -15,19 +15,13 @@ import (
 type Failure struct {
 	Scenario Scenario        `json:"scenario"`
 	Schedule faults.Schedule `json:"schedule"`
-	// Shards carries a sharded failure's per-shard schedules (Schedule is
-	// then empty; the shard index is the position).
-	Shards []faults.Schedule `json:"shards,omitempty"`
-	Err    string            `json:"err"`
+	Err      string          `json:"err"`
 }
 
 // Reproduce re-runs the failure's scenario under its recorded schedule.
 // Replay mode draws no randomness, so the run is bit-identical to the
 // original and the returned report's Err is the reproduced violation.
 func (f Failure) Reproduce() Report {
-	if len(f.Shards) > 0 {
-		return RunShardReplay(f.Scenario, f.Shards)
-	}
 	sched := f.Schedule
 	return Run(f.Scenario, &sched)
 }

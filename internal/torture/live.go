@@ -89,9 +89,6 @@ func liveChurnPlan(sc Scenario, mix Mix) (initial []int, ops []liveChurnOp, err 
 	if !mix.Churn {
 		return nil, nil, nil
 	}
-	if sc.N < 3 {
-		return nil, nil, fmt.Errorf("torture: live churn needs N >= 3, got %d", sc.N)
-	}
 	at := 2 + int(sc.Seed%3)
 	if at >= sc.Requests {
 		at = sc.Requests / 2

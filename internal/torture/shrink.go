@@ -10,12 +10,8 @@ import "adaptivetoken/internal/faults"
 // shrinker just keeps the subsets that still fail. The pause windows are
 // dropped wholesale at the end if the failure survives without them, and
 // membership (churn) events — time-keyed, so likewise independent — are
-// then minimized one at a time. Sharded failures shrink shard by shard
-// (shrinkSharded).
+// then minimized one at a time.
 func Shrink(f Failure) Failure {
-	if len(f.Shards) > 0 {
-		return shrinkSharded(f)
-	}
 	churn := f.Schedule.Churn
 	pauses := f.Schedule.Pauses
 	fails := func(actions []faults.Action, pauses []faults.Pause) (string, bool) {
@@ -62,10 +58,10 @@ func Shrink(f Failure) Failure {
 	return f
 }
 
-// ddminActions is the ddmin core shared by the fixed-ring and sharded
-// shrinkers: remove complement chunks while test still reports failure,
-// halving granularity on progress. It returns the minimized actions and
-// the last reproduced error message ("" if no reduction succeeded).
+// ddminActions is Shrink's ddmin core: remove complement chunks while test
+// still reports failure, halving granularity on progress. It returns the
+// minimized actions and the last reproduced error message ("" if no
+// reduction succeeded).
 func ddminActions(actions []faults.Action, test func([]faults.Action) (string, bool)) ([]faults.Action, string) {
 	// Fast path: the failure may not depend on the fault actions at all.
 	if msg, bad := test(nil); bad {

@@ -60,6 +60,23 @@ func (sc Scenario) withDefaults() Scenario {
 	return sc
 }
 
+// check reports why mix cannot run the (defaulted) scenario: every mix
+// needs a ring of two, and a churn mix three, since removing a node from a
+// 2-node view leaves one that never re-pins. Negative counts and times are
+// rejected too.
+func (sc Scenario) check(mix Mix) error {
+	switch {
+	case sc.N < 2:
+		return fmt.Errorf("torture: n=%d: need at least 2 nodes", sc.N)
+	case mix.Churn && sc.N < 3:
+		return fmt.Errorf("torture: n=%d: churn mix %q needs at least 3 nodes", sc.N, mix.Name)
+	case sc.Requests < 0 || sc.MeanGap < 0 || sc.CSTime < 0 || sc.MaxTime < 0:
+		return fmt.Errorf("torture: negative requests, mean gap, cs time or max time (%d, %g, %d, %d)",
+			sc.Requests, sc.MeanGap, sc.CSTime, sc.MaxTime)
+	}
+	return nil
+}
+
 // Mix is a named fault policy plus the checks it is compatible with.
 type Mix struct {
 	Name string
@@ -86,14 +103,6 @@ type Mix struct {
 	// transport (wall clocks, goroutine scheduling) instead of the
 	// simulation driver; see live.go.
 	Live bool
-	// Shards, when > 0, runs the scenario on a sharded cluster of that
-	// many rings (Scenario.N members each) instead of one ring; see
-	// shard.go. Faults apply only to the shards Faulty selects, and the
-	// single-token census is checked per shard.
-	Shards int
-	// Faulty selects which shards of a sharded mix receive the fault plan
-	// (nil = none).
-	Faulty func(sc Scenario) []int
 	// Plan derives the deterministic fault policy from the scenario.
 	Plan func(sc Scenario) faults.Plan
 }
@@ -423,10 +432,7 @@ type Report struct {
 	Grants   int
 	Steps    int // conformance-checked steps (0 when the checker is off)
 	Schedule faults.Schedule
-	// Shards carries the per-shard recorded schedules of a sharded mix
-	// (Schedule is then empty).
-	Shards []faults.Schedule
-	Err    error
+	Err      error
 }
 
 // Run executes one scenario. With replay nil the fault policy of the
@@ -441,12 +447,9 @@ func Run(sc Scenario, replay *faults.Schedule) Report {
 		rep.Err = fmt.Errorf("torture: unknown mix %q (have %v)", sc.Mix, MixNames())
 		return rep
 	}
-	if mix.Shards > 0 {
-		if replay != nil {
-			rep.Err = fmt.Errorf("torture: sharded mix %q replays per-shard schedules; use Failure.Reproduce or RunShardReplay", sc.Mix)
-			return rep
-		}
-		return runShard(sc, mix, nil)
+	if err := sc.check(mix); err != nil {
+		rep.Err = err
+		return rep
 	}
 	if mix.Live {
 		return runLive(sc, mix, replay)
@@ -649,7 +652,7 @@ func serve(r *driver.Runner, sc Scenario, dead map[int]bool, quiet sim.Time, chu
 type SweepConfig struct {
 	Variants []string // default SweepVariants()
 	Mixes    []string // default SweepMixes()
-	Seeds    int      // seeds per variant×mix, default 9 (3×4×9 = 108 scenarios)
+	Seeds    int      // seeds per variant×mix, default 9 (3×9×9 = 243 scenarios)
 	N        int
 	Requests int
 	// ArtifactDir, when set, receives a shrunk replayable artifact per
@@ -666,7 +669,8 @@ type SweepResult struct {
 
 // Sweep explores seeds × mixes × variants, collecting (and, with an
 // artifact directory, shrinking and persisting) every failure. logf, when
-// non-nil, receives one progress line per scenario.
+// non-nil, receives one progress line per scenario. A configuration some
+// mix cannot run is rejected before any scenario runs.
 func Sweep(cfg SweepConfig, logf func(format string, a ...any)) (SweepResult, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -681,6 +685,10 @@ func Sweep(cfg SweepConfig, logf func(format string, a ...any)) (SweepResult, er
 		cfg.Seeds = 9
 	}
 	var res SweepResult
+	if cfg.Seeds < 0 {
+		return res, fmt.Errorf("torture: negative seed count %d", cfg.Seeds)
+	}
+	shape := Scenario{N: cfg.N, Requests: cfg.Requests}.withDefaults()
 	for _, mixName := range cfg.Mixes {
 		mix, ok := mixes[mixName]
 		if !ok {
@@ -689,6 +697,11 @@ func Sweep(cfg SweepConfig, logf func(format string, a ...any)) (SweepResult, er
 		if mix.Unsafe {
 			return res, fmt.Errorf("torture: mix %q is a planted bug; sweeps only run safe mixes", mixName)
 		}
+		if err := shape.check(mix); err != nil {
+			return res, err
+		}
+	}
+	for _, mixName := range cfg.Mixes {
 		for _, variant := range cfg.Variants {
 			for seed := uint64(1); seed <= uint64(cfg.Seeds); seed++ {
 				sc := Scenario{
@@ -703,7 +716,7 @@ func Sweep(cfg SweepConfig, logf func(format string, a ...any)) (SweepResult, er
 					continue
 				}
 				logf("FAIL %-9s %-6s seed=%-3d: %v", variant, mixName, seed, rep.Err)
-				f := Failure{Scenario: rep.Scenario, Schedule: rep.Schedule, Shards: rep.Shards, Err: rep.Err.Error()}
+				f := Failure{Scenario: rep.Scenario, Schedule: rep.Schedule, Err: rep.Err.Error()}
 				if cfg.ArtifactDir != "" {
 					f = Shrink(f)
 					path, werr := WriteArtifact(cfg.ArtifactDir, f)

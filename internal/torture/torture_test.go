@@ -197,15 +197,55 @@ func TestReplayIsDeterministic(t *testing.T) {
 	}
 }
 
-// Malformed scenarios fail up front with a diagnostic, not a panic.
+// Malformed scenarios and sweeps fail up front with a diagnostic: no
+// panic, no endless loop, and a rejected sweep runs no scenario.
 func TestBadScenariosRejected(t *testing.T) {
-	if rep := Run(Scenario{Variant: "ring", Mix: "no-such-mix"}, nil); rep.Err == nil {
-		t.Fatal("unknown mix accepted")
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+		want string
+	}{
+		{"unknown mix", Scenario{Variant: "ring", Mix: "no-such-mix"}, "unknown mix"},
+		{"unknown variant", Scenario{Variant: "no-such-variant", Mix: "clean"}, "unknown variant"},
+		{"one node", Scenario{Variant: "ring", Mix: "crash", N: 1}, "at least 2 nodes"},
+		{"negative n", Scenario{Variant: "ring", Mix: "clean", N: -4}, "at least 2 nodes"},
+		{"two-node churn", Scenario{Variant: "ring", Mix: "leave-storm", N: 2}, "at least 3 nodes"},
+		{"two-node live churn", Scenario{Variant: "linear", Mix: "live-join", N: 2}, "at least 3 nodes"},
+		{"negative requests", Scenario{Variant: "ring", Mix: "crash", Requests: -5}, "negative"},
+		{"negative mean gap", Scenario{Variant: "ring", Mix: "clean", MeanGap: -1}, "negative"},
+		{"negative cs time", Scenario{Variant: "ring", Mix: "clean", CSTime: -1}, "negative"},
+		{"negative max time", Scenario{Variant: "ring", Mix: "clean", MaxTime: -1}, "negative"},
+	} {
+		rep := Run(tc.sc, nil)
+		if rep.Err == nil || !strings.Contains(rep.Err.Error(), tc.want) {
+			t.Errorf("Run %s: err = %v, want %q", tc.name, rep.Err, tc.want)
+		}
+		if rep.Grants != 0 {
+			t.Errorf("Run %s: %d grants from a rejected scenario", tc.name, rep.Grants)
+		}
 	}
-	if rep := Run(Scenario{Variant: "no-such-variant", Mix: "clean"}, nil); rep.Err == nil {
-		t.Fatal("unknown variant accepted")
-	}
-	if _, err := Sweep(SweepConfig{Mixes: []string{"token-dup-bug"}, Seeds: 1}, nil); err == nil {
-		t.Fatal("sweep accepted an unsafe mix")
+
+	for _, tc := range []struct {
+		name string
+		cfg  SweepConfig
+		want string
+	}{
+		{"unsafe mix", SweepConfig{Mixes: []string{"token-dup-bug"}, Seeds: 1}, "planted bug"},
+		{"negative seeds", SweepConfig{Mixes: []string{"clean"}, Seeds: -1}, "negative seed count"},
+		{"negative n", SweepConfig{Seeds: 1, N: -1}, "at least 2 nodes"},
+		{"one node", SweepConfig{Mixes: []string{"crash"}, Seeds: 1, N: 1}, "at least 2 nodes"},
+		{"two-node churn", SweepConfig{Seeds: 1, N: 2}, "at least 3 nodes"},
+		{"negative requests", SweepConfig{Seeds: 1, Requests: -5}, "negative"},
+		// The bad mix comes last: nothing runs before it is found.
+		{"late bad mix", SweepConfig{Mixes: []string{"clean", "no-such-mix"}, Seeds: 1}, "unknown mix"},
+	} {
+		ran := 0
+		res, err := Sweep(tc.cfg, func(string, ...any) { ran++ })
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Sweep %s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if res.Scenarios != 0 || ran != 0 {
+			t.Errorf("Sweep %s: ran %d scenarios before rejecting", tc.name, res.Scenarios)
+		}
 	}
 }
