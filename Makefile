@@ -48,7 +48,8 @@ bench:
 # events/op = bytes/event) and the checked-in per-event budget of
 # internal/bench/alloc_budget.json, then the live path's pins: a
 # steady-state live grant (0 allocations under GCNone, at most 1 under
-# GCRotation) and the host's StepInto scratch path (0). Throughput is
+# GCRotation), the host's StepInto scratch path (0) and the heap an
+# established TCP link keeps (8 KiB, a large frame included). Throughput is
 # BENCHMARK.json's grants_per_s, not a test. See DESIGN.md §8/§10 and
 # EXPERIMENTS.md ("Allocation metrics", "Throughput").
 bench-mem:
@@ -57,6 +58,7 @@ bench-mem:
 	$(GO) test -run 'TestAllocationBudget|TestEngineSteadyStateAllocFree' \
 		-v ./internal/bench/ ./internal/sim/
 	$(GO) test -run 'TestLiveGrantAllocs|TestStepIntoZeroAlloc' -v ./internal/core/ ./internal/host/
+	$(GO) test -run 'TestTCPLinkFootprint' -v ./internal/transport/
 
 # Randomized fault-injection torture sweep: 9 seeds × 9 fault mixes ×
 # 3 variants = 243 simulated scenarios (including the five churn families:

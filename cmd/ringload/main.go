@@ -97,7 +97,7 @@ func run(args []string, out *os.File) error {
 		recovery = fs.Int("recovery", 0, "token-loss recovery timeout in protocol time units (0 = node default)")
 		stage    = fs.Int("stage", 8, "staged-shutdown wave width")
 		policy   = fs.String("transport-policy", "", "transport backpressure policy: drop or block")
-		queue    = fs.Int("transport-queue", 0, "bounded per-peer outbound queue length")
+		queue    = fs.Int("transport-queue", 0, "frames each per-peer outbound queue holds at most")
 		nodeBin  = fs.String("node-bin", "", "ringnode binary (empty = go build it)")
 		outJSON  = fs.String("out", "", "write the JSON record here")
 		manifest = fs.String("manifest", "", "write a live-cluster endpoint manifest (JSON) here once all nodes are healthy")

@@ -86,7 +86,7 @@ func run(args []string) error {
 		loadSeed    = fs.Uint64("load-seed", 1, "arrival schedule seed (the node id is mixed in per node)")
 		loadGuard   = fs.String("load-guard", "", "shared flock guard file: live cross-process mutual-exclusion check")
 		waitStart   = fs.Bool("wait-start", false, "wait for 'start' on stdin before the load; print LOAD_DONE and wait for 'exit' after it")
-		tpQueue     = fs.Int("transport-queue", 0, "bounded per-peer outbound queue length (0 = transport default)")
+		tpQueue     = fs.Int("transport-queue", 0, "frames each per-peer outbound queue holds at most (0 = transport default)")
 		tpPolicy    = fs.String("transport-policy", "", "transport backpressure policy: drop or block (empty = default)")
 		recovery    = fs.Int("recovery", 0, "token-loss recovery timeout in protocol time units (0 = default)")
 	)

@@ -94,10 +94,10 @@ func (e *Exporter) WriteMetrics(p *PromWriter) {
 		ts = e.Transport()
 	}
 	p.Gauge("adaptivetoken_transport_queue_depth",
-		"Envelopes sitting in bounded per-peer outbound queues right now.",
+		"Encoded frames waiting in bounded per-peer outbound queues right now.",
 		float64(ts.QueueDepth), sl...)
 	p.Counter("adaptivetoken_transport_enqueued_total",
-		"Envelopes accepted into outbound queues.", float64(ts.Enqueued), sl...)
+		"Envelopes Send accepted for a remote peer, each one outbound frame.", float64(ts.Enqueued), sl...)
 	p.Counter("adaptivetoken_transport_frames_total",
 		"Frames written to peer sockets.", float64(ts.Frames), sl...)
 	p.Counter("adaptivetoken_transport_flushes_total",

@@ -232,8 +232,12 @@ func decodePayload(payload []byte, e *Envelope) error {
 	return nil
 }
 
+// readBuffer sizes each connection's read buffer: a socket read takes in a
+// batch of small frames at a time, and an idle link holds no more than this.
+const readBuffer = 4 << 10
+
 // frameReader decodes frames off one connection, reusing its payload
-// buffer across frames.
+// buffer across frames up to maxKeptBuf.
 type frameReader struct {
 	r   *bufio.Reader
 	hdr [4]byte // a field, not a local: a local would escape through io.ReadFull
@@ -241,7 +245,7 @@ type frameReader struct {
 }
 
 func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, 32<<10)}
+	return &frameReader{r: bufio.NewReaderSize(r, readBuffer)}
 }
 
 // next reads one frame and decodes it into e. Any framing violation
@@ -263,5 +267,9 @@ func (fr *frameReader) next(e *Envelope) error {
 	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
 		return err
 	}
-	return decodePayload(fr.buf, e)
+	err := decodePayload(fr.buf, e)
+	if cap(fr.buf) > maxKeptBuf {
+		fr.buf = nil
+	}
+	return err
 }

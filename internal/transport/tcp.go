@@ -50,7 +50,8 @@ func ParsePolicy(s string) (BackpressurePolicy, error) {
 // Options tunes the hardened TCP endpoint. The zero value gives the
 // defaults.
 type Options struct {
-	// QueueLen bounds each peer's outbound queue (default 512 envelopes).
+	// QueueLen bounds the encoded frames waiting in each peer's outbound
+	// queue (default 512).
 	QueueLen int
 	// Policy selects the full-queue behavior (default PolicyDrop).
 	Policy BackpressurePolicy
@@ -76,11 +77,12 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats are the transport's telemetry counters, snapshotted by Stats().
-// All fields are cumulative except QueueDepth (a gauge: envelopes sitting
-// in peer queues at snapshot time).
+// All fields are cumulative except QueueDepth (a gauge: frames waiting in
+// peer queues at snapshot time).
 type Stats struct {
-	// Enqueued counts envelopes accepted into a peer queue (self-sends
-	// excluded).
+	// Enqueued counts envelopes Send accepted for a remote peer: encoded
+	// into its queue, or refused by the encoder and counted in
+	// DroppedEncode too. Self-sends and backpressure drops are excluded.
 	Enqueued int64
 	// Frames counts frames written to sockets. A batch is counted just
 	// before its write, so the snapshot is never behind what the peer has
@@ -92,9 +94,9 @@ type Stats struct {
 	// other frame — the payoff of write batching.
 	BatchedWrites int64
 	// DroppedBackpressure counts cheap envelopes dropped because the peer
-	// queue was full under PolicyDrop.
+	// queue held QueueLen frames under PolicyDrop.
 	DroppedBackpressure int64
-	// DroppedWriteError counts envelopes abandoned when a socket write
+	// DroppedWriteError counts frames abandoned when a socket write
 	// failed mid-batch. Delivery of such frames is ambiguous (the peer may
 	// have read a prefix of the batch); the transport never re-sends them —
 	// at-most-once — so this is an upper bound on loss, repaired by the
@@ -108,18 +110,19 @@ type Stats struct {
 	// DialRetries counts failed dial attempts (the peer was unreachable;
 	// the writer retried after a jittered backoff).
 	DialRetries int64
-	// QueueDepth is the total number of envelopes waiting in peer queues.
+	// QueueDepth is the total number of frames waiting in peer queues; a
+	// frame the writer holds in hand while it dials is not waiting.
 	QueueDepth int64
 }
 
 // TCP is an Endpoint over real sockets, hardened for sustained load: one
 // listener per node; per-peer persistent connections owned by a writer
-// goroutine; length-prefixed framing (frame.go); write batching with
-// flush-on-idle (the writer drains everything immediately available into
-// one socket write); bounded per-peer outbound queues with an explicit
-// backpressure policy (block vs drop-with-counter); and reconnection with
-// jittered exponential backoff, so peers that start late or flap are
-// absorbed without losing the connection state machine.
+// goroutine; length-prefixed framing (frame.go), encoded by Send into the
+// peer's lane; write batching with flush-on-idle (the writer takes every
+// frame the lane holds into one socket write); bounded per-peer outbound
+// queues with an explicit backpressure policy (block vs drop-with-counter);
+// and reconnection with jittered exponential backoff, so peers that start
+// late or flap are absorbed without losing the connection state machine.
 type TCP struct {
 	id   int
 	ln   net.Listener
@@ -148,11 +151,45 @@ type TCP struct {
 	dialRetries   atomic.Int64
 }
 
-// tcpPeer is one outbound lane: a bounded queue drained by a dedicated
-// writer goroutine that owns the connection.
+// maxKeptBuf caps the buffers a link keeps between uses. A lane's batch
+// buffer or a reader's payload buffer that grew past it — to carry one large
+// application payload, say — is dropped after use, so a single big frame
+// does not pin up to MaxFrame on both ends of the link for its lifetime.
+const maxKeptBuf = 64 << 10
+
+// tcpPeer is one outbound lane: frames already encoded by Send, waiting in
+// one byte buffer for the dedicated writer goroutine that owns the
+// connection. The lane keeps no Envelope and no message box.
 type tcpPeer struct {
-	id int
-	q  chan Envelope
+	id   int
+	wake chan struct{} // one slot: pending holds frames the writer has not taken
+
+	mu      sync.Mutex
+	pending []byte // encoded frames, oldest first
+	frames  int    // frames in pending
+	// inHand is set while the writer, waiting on a dial, has claimed the
+	// first frame of pending: that frame no longer counts against QueueLen,
+	// as an envelope taken off a queue would not.
+	inHand bool
+	// room is non-nil only while a sender waits for the lane to drain; the
+	// writer closes it when frames leave the queue.
+	room chan struct{}
+}
+
+// waiting is the number of frames that count against QueueLen. p.mu held.
+func (p *tcpPeer) waiting() int {
+	if p.inHand {
+		return p.frames - 1
+	}
+	return p.frames
+}
+
+// freed wakes every sender waiting for room. p.mu held.
+func (p *tcpPeer) freed() {
+	if p.room != nil {
+		close(p.room)
+		p.room = nil
+	}
 }
 
 var _ Endpoint = (*TCP)(nil)
@@ -235,18 +272,23 @@ func (t *TCP) Stats() Stats {
 	}
 	t.mu.Lock()
 	for _, p := range t.peers {
-		s.QueueDepth += int64(len(p.q))
+		p.mu.Lock()
+		s.QueueDepth += int64(p.waiting())
+		p.mu.Unlock()
 	}
 	t.mu.Unlock()
 	return s
 }
 
-// Send implements Endpoint. Envelopes to remote peers are enqueued on the
-// peer's bounded outbound lane and written asynchronously by its writer
-// goroutine; Send never performs network I/O itself. A full queue applies
-// the backpressure policy: under PolicyDrop, cheap protocol messages are
-// dropped with a counter while expensive (correctness-bearing) messages
-// and application payloads block; under PolicyBlock everything blocks.
+// Send implements Endpoint. An envelope to a remote peer is encoded into
+// the peer's outbound lane before Send returns — the transport keeps nothing
+// of it, so the caller may reuse or free its box at once — and written
+// asynchronously by the lane's writer goroutine; Send never performs network
+// I/O itself. A lane holding QueueLen frames applies the backpressure
+// policy: under PolicyDrop, cheap protocol messages are dropped with a
+// counter while expensive (correctness-bearing) messages and application
+// payloads block; under PolicyBlock everything blocks. An envelope the
+// encoder refuses is counted in DroppedEncode and never reaches the socket.
 func (t *TCP) Send(e Envelope) error {
 	if err := e.Validate(); err != nil {
 		return err
@@ -263,23 +305,40 @@ func (t *TCP) Send(e Envelope) error {
 		return err
 	}
 	droppable := t.opts.Policy == PolicyDrop && e.Proto != nil && !e.Proto.Kind.Expensive()
-	if droppable {
-		select {
-		case p.q <- e:
-			t.enqueued.Add(1)
-			return nil
-		default:
+	p.mu.Lock()
+	for p.waiting() >= t.opts.QueueLen {
+		if droppable {
+			p.mu.Unlock()
 			t.droppedFull.Add(1)
 			return nil
 		}
+		if p.room == nil {
+			p.room = make(chan struct{})
+		}
+		room := p.room
+		p.mu.Unlock()
+		select {
+		case <-room:
+		case <-t.quit:
+			return errors.New("transport: endpoint closed")
+		}
+		p.mu.Lock()
 	}
-	select {
-	case p.q <- e:
-		t.enqueued.Add(1)
+	t.enqueued.Add(1)
+	b, err := appendFrame(p.pending, e)
+	if err != nil {
+		p.mu.Unlock()
+		t.droppedEncode.Add(1)
 		return nil
-	case <-t.quit:
-		return errors.New("transport: endpoint closed")
 	}
+	p.pending = b
+	p.frames++
+	p.mu.Unlock()
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+	return nil
 }
 
 // peer returns (creating if needed) the outbound lane to node id.
@@ -295,19 +354,21 @@ func (t *TCP) peer(id int) (*tcpPeer, error) {
 	if p, ok := t.peers[id]; ok {
 		return p, nil
 	}
-	p := &tcpPeer{id: id, q: make(chan Envelope, t.opts.QueueLen)}
+	p := &tcpPeer{id: id, wake: make(chan struct{}, 1)}
 	t.peers[id] = p
 	t.wg.Add(1)
 	go t.writeLoop(p)
 	return p, nil
 }
 
-// writeLoop owns peer p's connection: it drains the queue in batches,
-// (re)dialing with jittered exponential backoff, assembling every
-// immediately available envelope into one buffer, and flushing it with a
-// single socket write. On a write error the connection is torn down and
-// the in-flight batch abandoned (delivery ambiguous — at-most-once); on a
-// dial error nothing was written, so retrying is always safe.
+// writeLoop owns peer p's connection. Woken by Send, it (re)dials if it
+// has no connection — with jittered exponential backoff, holding the first
+// pending frame in hand meanwhile — then swaps every pending frame out of
+// the lane and flushes them with a single socket write. On a write error
+// the connection is torn down and the batch abandoned (delivery ambiguous —
+// at-most-once); on a dial error nothing was written, so retrying is
+// always safe. The lane's two buffers alternate between Send and the
+// writer; one that grew past maxKeptBuf is dropped after its write.
 func (t *TCP) writeLoop(p *tcpPeer) {
 	defer t.wg.Done()
 	var conn net.Conn
@@ -316,17 +377,27 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 			conn.Close()
 		}
 	}()
-	var buf []byte
+	var spare []byte
 	rng := jitterSeed(t.id, p.id)
 	for {
-		var e Envelope
 		select {
-		case e = <-p.q:
+		case <-p.wake:
 		case <-t.quit:
 			return
 		}
 		// Establish the connection first: by the time the dial succeeds,
-		// everything that queued up behind e joins the same batch.
+		// everything that queued up behind the frame in hand joins the
+		// same batch.
+		if conn == nil {
+			p.mu.Lock()
+			if p.frames == 0 {
+				p.mu.Unlock()
+				continue
+			}
+			p.inHand = true
+			p.freed()
+			p.mu.Unlock()
+		}
 		backoff := t.opts.BackoffMin
 		for conn == nil {
 			var d net.Dialer
@@ -346,22 +417,13 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 				backoff = t.opts.BackoffMax
 			}
 		}
-		batch := buf[:0]
-		n := int64(0)
-		for more := true; more; {
-			if b, err := appendFrame(batch, e); err == nil {
-				batch, n = b, n+1
-			} else {
-				t.droppedEncode.Add(1)
-			}
-			select {
-			case e = <-p.q:
-			default:
-				more = false
-			}
-		}
-		buf = batch
+		p.mu.Lock()
+		batch, n := p.pending, int64(p.frames)
+		p.pending, p.frames, p.inHand = spare[:0], 0, false
+		p.freed()
+		p.mu.Unlock()
 		if n == 0 {
+			spare = batch
 			continue
 		}
 		// Account before the write makes the bytes visible to the peer, so
@@ -382,6 +444,10 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 			t.batchedWrites.Add(-batched)
 			t.reconnects.Add(1)
 			t.droppedWrite.Add(n)
+		}
+		spare = nil
+		if cap(batch) <= maxKeptBuf {
+			spare = batch[:0]
 		}
 	}
 }
@@ -450,12 +516,13 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if !t.mbox.put(e) {
 			return
 		}
+		e = Envelope{} // the mailbox has it; an idle link keeps none alive
 	}
 }
 
 // Close implements Endpoint: it stops the listener, unblocks senders and
 // writer goroutines, tears down connections, waits for every goroutine,
-// and closes the inbox. Undelivered queued envelopes are dropped.
+// and closes the inbox. Frames still queued are dropped.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {

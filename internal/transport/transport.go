@@ -72,11 +72,13 @@ type Endpoint interface {
 	Send(e Envelope) error
 	// Recv returns the channel of incoming envelopes. It is closed when
 	// the endpoint closes. The receiver owns each envelope's Proto box —
-	// in process it is the very box the sender sent — and may hand it to
-	// FreeProto once done with it. The transport never frees a box itself,
-	// so a box it drops, or encodes for a remote peer, is left to the
-	// garbage collector, and a sender whose receiver does not free may
-	// send one box again.
+	// in process it is the very box the sender sent, over TCP a box
+	// decoded from the frame — and may hand it to FreeProto once done
+	// with it. The transport never frees a box itself: a box it drops is
+	// left to the garbage collector. TCP encodes a remote envelope before
+	// Send returns and keeps nothing of it, so that sender still owns its
+	// box and may overwrite, resend or free it at once. A sender whose
+	// receiver does not free may send one box again.
 	Recv() <-chan Envelope
 	// Close shuts the endpoint down and releases its goroutines.
 	Close() error
