@@ -9,6 +9,7 @@ import (
 
 	"adaptivetoken/internal/conformance"
 	"adaptivetoken/internal/faults"
+	"adaptivetoken/internal/mutex"
 	"adaptivetoken/internal/protocol"
 )
 
@@ -68,31 +69,48 @@ func TestLiveConformanceAttachment(t *testing.T) {
 }
 
 // TestLiveGrantAllocs pins what a steady-state live grant allocates on a
-// 4-node channel cluster, one client locking at nodes 0 and 2 in turn (the
-// benchmark's closed loop): nothing under GCNone, and under GCRotation at
-// most the one copy the satisfaction record takes when it updates a
-// requester it already holds. Requests, releases, grant signals and message
-// boxes all reuse what the runtime already has.
+// 4-node cluster, one client locking at nodes 0 and 2 in turn (the
+// benchmark's closed loop). Over channels: nothing under GCNone, and under
+// GCRotation at most the one copy the satisfaction record takes when it
+// updates a requester it already holds. Over TCP: nothing under GCNone, and
+// under GCRotation that copy plus the Served slice the frame decoder makes.
+// Requests, releases, grant signals and message boxes all reuse what the
+// runtime already has; a transport copies what it carries, so every box goes
+// back to the pool.
 //
 // Under -race, sync.Pool drops a quarter of its Puts at random, so a grant
-// here — 2.5 messages on average — boxes about 0.6 of them afresh: the pin
-// then allows one allocation more.
+// here boxes a few of its messages afresh: the pin then allows one
+// allocation more.
 func TestLiveGrantAllocs(t *testing.T) {
 	for _, c := range []struct {
-		gc  protocol.GCMode
-		max float64
-	}{{protocol.GCNone, 0}, {protocol.GCRotation, 1}} {
-		t.Run(c.gc.String(), func(t *testing.T) {
-			cl, err := NewCluster(4, WithTrapGC(c.gc))
-			if err != nil {
-				t.Fatal(err)
+		name string
+		gc   protocol.GCMode
+		tcp  bool
+		max  float64
+	}{
+		{"none", protocol.GCNone, false, 0},
+		{"rotation", protocol.GCRotation, false, 1},
+		{"tcp-none", protocol.GCNone, true, 0},
+		{"tcp-rotation", protocol.GCRotation, true, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var lockAt func(i int) *mutex.Mutex
+			if c.tcp {
+				nodes := tcpRing(t, 4, WithTrapGC(c.gc))
+				lockAt = func(i int) *mutex.Mutex { return nodes[i].Mutex }
+			} else {
+				cl, err := NewCluster(4, WithTrapGC(c.gc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				lockAt = cl.Mutex
 			}
-			defer cl.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
 			k := 0
 			grant := func() {
-				m := cl.Mutex(2 * (k % 2))
+				m := lockAt(2 * (k % 2))
 				k++
 				if err := m.Lock(ctx); err != nil {
 					t.Fatal(err)

@@ -22,9 +22,8 @@ func NewEndpointNetwork(ep transport.Endpoint, clock Clock) *EndpointNetwork {
 
 // Deliver implements Network.
 func (n *EndpointNetwork) Deliver(m protocol.Message, extra sim.Time) {
-	// Box m once, in a box from the transport's pool: the envelope carries
-	// the box to the receiver, which owns it from here on and frees it back
-	// to the pool (transport.Endpoint.Recv).
+	// Box m in a box from the transport's pool. Send keeps no box it is
+	// given (transport.Endpoint), so send frees it once Send returns.
 	mc := transport.NewProto()
 	*mc = m
 	if extra <= 0 {
@@ -44,4 +43,5 @@ func (n *EndpointNetwork) send(m *protocol.Message) {
 	// Unreachable peer: protocol-level timeouts (research, recovery)
 	// repair the damage; nothing to do here.
 	_ = n.ep.Send(transport.Envelope{To: m.To, Proto: m})
+	transport.FreeProto(m)
 }

@@ -62,7 +62,8 @@ func (cn *ChannelNetwork) Close() error {
 	return nil
 }
 
-// deliver routes an envelope. Called with the envelope already validated.
+// deliver routes an envelope, handing the destination a pooled copy of its
+// box. Called with the envelope already validated.
 func (cn *ChannelNetwork) deliver(e Envelope) error {
 	cn.mu.Lock()
 	if cn.closed {
@@ -79,7 +80,7 @@ func (cn *ChannelNetwork) deliver(e Envelope) error {
 	}
 	dst := cn.eps[e.To]
 	cn.mu.Unlock()
-	dst.mbox.put(e)
+	dst.mbox.put(ownBox(e))
 	return nil
 }
 

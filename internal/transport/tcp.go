@@ -281,21 +281,22 @@ func (t *TCP) Stats() Stats {
 }
 
 // Send implements Endpoint. An envelope to a remote peer is encoded into
-// the peer's outbound lane before Send returns — the transport keeps nothing
-// of it, so the caller may reuse or free its box at once — and written
-// asynchronously by the lane's writer goroutine; Send never performs network
-// I/O itself. A lane holding QueueLen frames applies the backpressure
-// policy: under PolicyDrop, cheap protocol messages are dropped with a
-// counter while expensive (correctness-bearing) messages and application
-// payloads block; under PolicyBlock everything blocks. An envelope the
-// encoder refuses is counted in DroppedEncode and never reaches the socket.
+// the peer's outbound lane before Send returns, so the transport keeps
+// nothing of it, and written asynchronously by the lane's writer goroutine;
+// Send never performs network I/O itself. A self-send puts a pooled copy of
+// the box in the inbox. A lane holding QueueLen frames applies the
+// backpressure policy: under PolicyDrop, cheap protocol messages are dropped
+// with a counter while expensive (correctness-bearing) messages and
+// application payloads block; under PolicyBlock everything blocks. An
+// envelope the encoder refuses is counted in DroppedEncode and never reaches
+// the socket.
 func (t *TCP) Send(e Envelope) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
 	e.From = t.id
 	if e.To == t.id {
-		if !t.mbox.put(e) {
+		if !t.mbox.put(ownBox(e)) {
 			return errors.New("transport: endpoint closed")
 		}
 		return nil

@@ -132,40 +132,80 @@ func TestTCPLinkFootprintAfterLargeFrame(t *testing.T) {
 	})
 }
 
-// TestTCPSendKeepsNoBox pins Send's contract: a remote envelope is encoded
-// before Send returns, so the sender may overwrite its box at once and the
-// peer still receives what was sent.
-func TestTCPSendKeepsNoBox(t *testing.T) {
-	eps := star(t, 1)
-	const sends = 100
-	m := &protocol.Message{}
-	app := &AppData{}
-	for i := 0; i < sends; i++ {
-		*m = protocol.Message{Kind: protocol.MsgToken, To: 1, Round: uint64(i), Attach: "sent"}
-		if err := eps[0].Send(Envelope{To: 1, Proto: m}); err != nil {
-			t.Fatal(err)
-		}
-		*m = protocol.Message{Kind: protocol.MsgSearch, Round: 1 << 40, Attach: "overwritten"}
-		*app = AppData{Seq: uint64(i), Payload: "sent"}
-		if err := eps[0].Send(Envelope{To: 1, App: app}); err != nil {
-			t.Fatal(err)
-		}
-		*app = AppData{Seq: 1 << 40, Payload: "overwritten"}
+// TestSendKeepsNoBox pins the box contract on every send path: Send keeps
+// no box it is given, so the sender may overwrite and free its box at once,
+// and the receiver reads what was sent — Served and Attach included — from
+// a box of its own. Over TCP, application payloads are checked the same
+// way. In process the copy is taken while the sender still holds its box,
+// so the two can never be one; a box decoded off a socket may be the
+// sender's freed box back from the pool, which is no sharing.
+func TestSendKeepsNoBox(t *testing.T) {
+	cn, err := NewChannelNetwork(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	deadline := time.After(10 * time.Second)
-	for i := 0; i < 2*sends; i++ {
-		select {
-		case e := <-eps[1].Recv():
-			want := uint64(i / 2)
-			if p := e.Proto; p != nil && (i%2 != 0 || p.Kind != protocol.MsgToken || p.Round != want || p.Attach != "sent") {
-				t.Fatalf("frame %d: got %+v, want token round %d", i, *p, want)
+	defer cn.Close()
+	eps := star(t, 1)
+	for _, c := range []struct {
+		name     string
+		from, to Endpoint
+		remote   bool // over a socket: application payloads ride along
+	}{
+		{"chan", cn.Endpoint(0), cn.Endpoint(1), false},
+		{"tcp", eps[0], eps[1], true},
+		{"tcp-self", eps[0], eps[0], false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const sends = 100
+			to := c.to.ID()
+			sent := make([]*protocol.Message, sends)
+			app := &AppData{}
+			for i := 0; i < sends; i++ {
+				m := NewProto()
+				*m = protocol.Message{Kind: protocol.MsgToken, To: to, Round: uint64(i), Attach: "sent",
+					Served: []protocol.ServedRec{{Requester: 1, ReqSeq: uint64(i)}}}
+				sent[i] = m
+				if err := c.from.Send(Envelope{To: to, Proto: m}); err != nil {
+					t.Fatal(err)
+				}
+				*m = protocol.Message{Kind: protocol.MsgSearch, Round: 1 << 40, Attach: "overwritten",
+					Served: []protocol.ServedRec{{Requester: 2, ReqSeq: 1 << 40}}}
+				FreeProto(m)
+				if !c.remote {
+					continue
+				}
+				*app = AppData{Seq: uint64(i), Payload: "sent"}
+				if err := c.from.Send(Envelope{To: to, App: app}); err != nil {
+					t.Fatal(err)
+				}
+				*app = AppData{Seq: 1 << 40, Payload: "overwritten"}
 			}
-			if a := e.App; a != nil && (i%2 != 1 || a.Seq != want || a.Payload != "sent") {
-				t.Fatalf("frame %d: got %+v, want app seq %d", i, *a, want)
+			perSend := 1
+			if c.remote {
+				perSend = 2
 			}
-		case <-deadline:
-			t.Fatalf("received %d/%d", i, 2*sends)
-		}
+			deadline := time.After(10 * time.Second)
+			for i := 0; i < perSend*sends; i++ {
+				select {
+				case e := <-c.to.Recv():
+					want, isApp := uint64(i/perSend), i%perSend == 1
+					if p := e.Proto; p != nil {
+						if isApp || p.Kind != protocol.MsgToken || p.Round != want || p.Attach != "sent" ||
+							len(p.Served) != 1 || p.Served[0] != (protocol.ServedRec{Requester: 1, ReqSeq: want}) {
+							t.Fatalf("frame %d: got %+v, want token round %d", i, *p, want)
+						}
+						if !c.remote && p == sent[want] {
+							t.Fatalf("frame %d: received the box that was sent", i)
+						}
+					}
+					if a := e.App; a != nil && (!isApp || a.Seq != want || a.Payload != "sent") {
+						t.Fatalf("frame %d: got %+v, want app seq %d", i, *a, want)
+					}
+				case <-deadline:
+					t.Fatalf("received %d/%d", i, perSend*sends)
+				}
+			}
+		})
 	}
 }
 

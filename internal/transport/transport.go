@@ -58,27 +58,36 @@ func NewProto() *protocol.Message { return protoPool.Get().(*protocol.Message) }
 
 // FreeProto zeroes m — so a pooled box keeps no Served or Attach data
 // alive — and hands it back for NewProto to reuse. Only the owner of m may
-// free it, once, and nothing may read m afterwards (see Endpoint.Recv).
+// free it, once, and nothing may read m afterwards (see Endpoint).
 func FreeProto(m *protocol.Message) {
 	*m = protocol.Message{}
 	protoPool.Put(m)
+}
+
+// ownBox returns e carrying a pooled copy of its Proto box, if it has one:
+// an in-process hop hands the receiver a box of its own, never the
+// sender's.
+func ownBox(e Envelope) Envelope {
+	if e.Proto != nil {
+		m := NewProto()
+		*m = *e.Proto
+		e.Proto = m
+	}
+	return e
 }
 
 // Endpoint is one node's attachment to a network.
 type Endpoint interface {
 	// ID returns the node's ring position.
 	ID() int
-	// Send transmits an envelope; e.To selects the destination.
+	// Send transmits an envelope; e.To selects the destination. It never
+	// keeps the caller's Proto box nor passes it on, so once Send returns
+	// the caller may overwrite, resend or free that box.
 	Send(e Envelope) error
 	// Recv returns the channel of incoming envelopes. It is closed when
-	// the endpoint closes. The receiver owns each envelope's Proto box —
-	// in process it is the very box the sender sent, over TCP a box
-	// decoded from the frame — and may hand it to FreeProto once done
-	// with it. The transport never frees a box itself: a box it drops is
-	// left to the garbage collector. TCP encodes a remote envelope before
-	// Send returns and keeps nothing of it, so that sender still owns its
-	// box and may overwrite, resend or free it at once. A sender whose
-	// receiver does not free may send one box again.
+	// the endpoint closes. Each envelope's Proto box came from NewProto
+	// and belongs to the receiver, which may hand it to FreeProto once
+	// done with it.
 	Recv() <-chan Envelope
 	// Close shuts the endpoint down and releases its goroutines.
 	Close() error
@@ -129,13 +138,17 @@ func newMailbox() *mailbox {
 	return m
 }
 
-// put enqueues an envelope; it reports false after close. The closed check
-// and any send into out share one critical section, and the pump closes out
-// only once closed is set, so put never sends on a closed channel.
+// put enqueues an envelope whose Proto box, if any, the mailbox now owns; it
+// reports false after close, having freed that box. The closed check and any
+// send into out share one critical section, and the pump closes out only
+// once closed is set, so put never sends on a closed channel.
 func (m *mailbox) put(e Envelope) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
+		if e.Proto != nil {
+			FreeProto(e.Proto)
+		}
 		return false
 	}
 	if len(m.queue) == 0 && !m.inHand {
