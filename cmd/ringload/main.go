@@ -1,8 +1,9 @@
 // Command ringload runs a live load experiment against a real
 // multi-process ringnode cluster: it launches -n node processes (one or
 // more rings), waits for readiness, drives synchronized open-loop client
-// load through every node, scrapes all /metrics endpoints, and reports the
-// cluster-wide latency distribution in the same p50/p95/p99 table shape
+// load through every node, merges the one report each node prints when its
+// load drains (LOAD_DONE, histograms exact), and reports the cluster-wide
+// latency distribution in the same p50/p95/p99 table shape
 // tokensim's responsiveness experiments emit — plus a machine-readable
 // JSON record (-out).
 //

@@ -6,13 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"adaptivetoken/internal/core"
 	"adaptivetoken/internal/loadgen"
-	"adaptivetoken/internal/telemetry"
+	"adaptivetoken/internal/orchestra"
 )
 
 // loadParams collects the -load* flag values.
@@ -29,60 +28,6 @@ type loadParams struct {
 	guard    string
 	wait     bool // -wait-start: stdin-coordinated start/exit
 	opts     []core.Option
-}
-
-// loadDone is the machine-readable completion record printed as
-// "LOAD_DONE {json}" on stdout — the orchestrator's per-node summary.
-// Latency distributions travel via /metrics (scraped before "exit"), not
-// here: the histograms merge cluster-wide, the counts cross-check them.
-type loadDone struct {
-	Node        int   `json:"node"`
-	Issued      int64 `json:"issued"`
-	Completed   int64 `json:"completed"`
-	Errors      int64 `json:"errors"`
-	Shed        int64 `json:"shed"`
-	Late        int64 `json:"late"`
-	MaxInFlight int64 `json:"max_in_flight"`
-	Violations  int64 `json:"violations"`
-	LatencyP50  int64 `json:"latency_p50_ms"`
-	LatencyP99  int64 `json:"latency_p99_ms"`
-}
-
-// loadReporter publishes the load generator's state through the node's
-// /metrics endpoint (core.WithExtraMetrics). Counters are zero until the
-// run finishes; the orchestrator scrapes after LOAD_DONE, so it always
-// sees the final state.
-type loadReporter struct {
-	mu         sync.Mutex
-	rep        *loadgen.Report
-	violations atomic.Int64
-}
-
-func (lr *loadReporter) write(p *telemetry.PromWriter) {
-	lr.mu.Lock()
-	rep := lr.rep
-	lr.mu.Unlock()
-	var r loadgen.Report
-	if rep != nil {
-		r = *rep
-	}
-	p.Counter("adaptivetoken_load_sessions_total",
-		"Client sessions issued by the open-loop load generator.", float64(r.Issued))
-	p.Counter("adaptivetoken_load_completed_total",
-		"Client sessions that acquired, held and released the lock.", float64(r.Completed))
-	p.Counter("adaptivetoken_load_errors_total",
-		"Client sessions whose acquire failed.", float64(r.Errors))
-	p.Counter("adaptivetoken_load_shed_total",
-		"Arrivals shed at the in-flight cap.", float64(r.Shed))
-	p.Counter("adaptivetoken_load_late_total",
-		"Arrivals issued at least one unit behind schedule.", float64(r.Late))
-	p.Counter("adaptivetoken_load_guard_violations_total",
-		"Cross-process flock guard conflicts observed inside critical sections.",
-		float64(lr.violations.Load()))
-	p.Histogram("adaptivetoken_load_latency_ms",
-		"Scheduled-arrival to release latency of client sessions, milliseconds.", &r.Latency)
-	p.Histogram("adaptivetoken_load_acquire_ms",
-		"Scheduled-arrival to acquire latency of client sessions, milliseconds.", &r.Acquire)
 }
 
 // guardedLocker wraps the distributed mutex with the cross-process flock
@@ -112,12 +57,10 @@ func (g *guardedLocker) Unlock() error {
 }
 
 // runLoad is the -load entry point: start the node, coordinate with the
-// orchestrator over stdin/stdout, generate the load, publish the outcome,
-// and fail loudly on guard violations or leaked timers.
+// orchestrator over stdin/stdout, generate the load, print the node's one
+// report (LOAD_DONE), and fail loudly on guard violations or leaked timers.
 func runLoad(p loadParams) error {
-	lr := &loadReporter{}
-	opts := append(p.opts, core.WithExtraMetrics(lr.write))
-	ln, err := core.NewLiveNode(p.id, p.addrs, p.id == 0, opts...)
+	ln, err := core.NewLiveNode(p.id, p.addrs, p.id == 0, p.opts...)
 	if err != nil {
 		return err
 	}
@@ -151,6 +94,7 @@ func runLoad(p loadParams) error {
 		}
 	}
 
+	var violations atomic.Int64
 	var lk loadgen.Locker = ln.Mutex
 	var guard *fileGuard
 	if p.guard != "" {
@@ -159,7 +103,7 @@ func runLoad(p loadParams) error {
 			return fmt.Errorf("-load-guard: %w", err)
 		}
 		defer guard.Close()
-		lk = &guardedLocker{inner: lk, guard: guard, violations: &lr.violations}
+		lk = &guardedLocker{inner: lk, guard: guard, violations: &violations}
 	}
 
 	// Seed mixing: node i draws an independent stream; the cluster-wide
@@ -175,27 +119,26 @@ func runLoad(p loadParams) error {
 	if err != nil {
 		return err
 	}
-	lr.mu.Lock()
-	lr.rep = rep
-	lr.mu.Unlock()
 
-	done := loadDone{
-		Node:        p.id,
-		Issued:      rep.Issued,
-		Completed:   rep.Completed,
-		Errors:      rep.Errors,
-		Shed:        rep.Shed,
-		Late:        rep.Late,
-		MaxInFlight: rep.MaxInFlight,
-		Violations:  lr.violations.Load(),
-		LatencyP50:  rep.Latency.Quantile(0.5),
-		LatencyP99:  rep.Latency.Quantile(0.99),
+	done := orchestra.LoadDone{
+		Node:       p.id,
+		Violations: violations.Load(),
+		Report:     *rep,
+		Messages:   ln.Runtime.MsgStatsSorted(),
+		Transport:  ln.TransportStats(),
 	}
-	buf, _ := json.Marshal(done)
+	if tr := ln.Tracer(); tr != nil {
+		done.Grants = tr.Stats().Grants
+		done.Resp = tr.RespHist()
+	}
+	buf, err := json.Marshal(done)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("LOAD_DONE %s\n", buf)
 
 	if p.wait {
-		// Keep /metrics alive until the orchestrator scraped and says exit.
+		// Keep the node and /metrics up until the orchestrator says exit.
 		awaitLine(stdin, "exit")
 	} else if p.settle > 0 {
 		// Uncoordinated runs: linger so slower peers can finish their
@@ -210,7 +153,7 @@ func runLoad(p loadParams) error {
 	if n := ln.Runtime.PendingTimers(); n != 0 {
 		return fmt.Errorf("%d timers still armed after shutdown", n)
 	}
-	if v := lr.violations.Load(); v != 0 {
+	if v := violations.Load(); v != 0 {
 		return fmt.Errorf("%d cross-process mutual-exclusion violations", v)
 	}
 	return nil

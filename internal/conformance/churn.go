@@ -50,13 +50,14 @@ import (
 	"fmt"
 
 	"adaptivetoken/internal/driver"
+	"adaptivetoken/internal/host"
 	"adaptivetoken/internal/protocol"
 	"adaptivetoken/internal/spec"
 )
 
 // ChurnChecker is the churn-aware conformance observer: a pinned Checker
 // that stutters across churn/recovery windows and re-pins on stable-epoch
-// commit. Implements driver.Observer.
+// commit. Implements host.Observer.
 type ChurnChecker struct {
 	cfg  protocol.Config
 	snap func() driver.ChurnSnapshot
@@ -132,8 +133,8 @@ func recoveryKind(k protocol.MsgKind) bool { return k >= protocol.MsgRecoveryPro
 
 // opensWindow reports whether a step must open (or extend) a stutter
 // window instead of being checked.
-func opensWindow(s driver.Step) bool {
-	if s.Kind == driver.StepView {
+func opensWindow(s host.Step) bool {
+	if s.Kind == host.StepView {
 		return true
 	}
 	if s.Msg != nil && recoveryKind(s.Msg.Kind) {
@@ -147,8 +148,8 @@ func opensWindow(s driver.Step) bool {
 	return false
 }
 
-// OnStep implements driver.Observer.
-func (c *ChurnChecker) OnStep(s driver.Step) {
+// OnStep implements host.Observer.
+func (c *ChurnChecker) OnStep(s host.Step) {
 	if c.err != nil {
 		return
 	}
@@ -164,20 +165,20 @@ func (c *ChurnChecker) OnStep(s driver.Step) {
 	c.tryRepin(len(s.Effects.Msgs))
 }
 
-// OnFault implements driver.Observer.
-func (c *ChurnChecker) OnFault(f driver.FaultEvent) {
+// OnFault implements host.Observer.
+func (c *ChurnChecker) OnFault(f host.FaultEvent) {
 	if c.err != nil {
 		return
 	}
 	switch f.Kind {
-	case driver.FaultJoin, driver.FaultLeave, driver.FaultCrash:
+	case host.FaultJoin, host.FaultLeave, host.FaultCrash:
 		c.enterWindow()
 		return
 	}
 	if c.stuttering {
 		return // faults inside a window are part of the stutter
 	}
-	if (f.Kind == driver.FaultDrop || f.Kind == driver.FaultDup) && recoveryKind(f.Msg.Kind) {
+	if (f.Kind == host.FaultDrop || f.Kind == host.FaultDup) && recoveryKind(f.Msg.Kind) {
 		c.enterWindow()
 		return
 	}

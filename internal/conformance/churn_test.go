@@ -104,10 +104,10 @@ func TestChurnCheckerCrashRegeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	chk.Bind(r.ChurnSnapshot)
-	// Kill the bootstrap holder while it still parks the token: the token
+	// Crash the bootstrap holder while it still parks the token: the token
 	// dies with it, recovery elects the coordinator, and a fresh token is
 	// minted under epoch 1.
-	if err := r.Kill(1, 0); err != nil {
+	if err := r.Crash(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Request(10, 2); err != nil {

@@ -2,7 +2,7 @@
 // term-rewriting specifications (internal/spec) and reports the first step
 // that is not explained by any spec rule.
 //
-// The checker implements driver.Observer. It maintains a ghost spec state —
+// The checker implements host.Observer. It maintains a ghost spec state —
 // the lossy Search/BinarySearch system of internal/spec with effectively
 // unbounded finitization (spec.CheckerBounds) — and advances it in lockstep
 // with the implementation:
@@ -40,7 +40,7 @@ package conformance
 import (
 	"fmt"
 
-	"adaptivetoken/internal/driver"
+	"adaptivetoken/internal/host"
 	"adaptivetoken/internal/protocol"
 	"adaptivetoken/internal/spec"
 	"adaptivetoken/internal/trs"
@@ -250,8 +250,8 @@ func (c *Checker) Finish() error {
 	return c.err
 }
 
-// OnStep implements driver.Observer.
-func (c *Checker) OnStep(s driver.Step) {
+// OnStep implements host.Observer.
+func (c *Checker) OnStep(s host.Step) {
 	if c.err != nil {
 		return
 	}
@@ -262,8 +262,8 @@ func (c *Checker) OnStep(s driver.Step) {
 	c.steps++
 }
 
-// OnFault implements driver.Observer.
-func (c *Checker) OnFault(f driver.FaultEvent) {
+// OnFault implements host.Observer.
+func (c *Checker) OnFault(f host.FaultEvent) {
 	if c.err != nil {
 		return
 	}
@@ -272,15 +272,15 @@ func (c *Checker) OnFault(f driver.FaultEvent) {
 	}
 }
 
-func (c *Checker) handleStep(s driver.Step) error {
+func (c *Checker) handleStep(s host.Step) error {
 	switch s.Kind {
-	case driver.StepBootstrap, driver.StepTimer:
+	case host.StepBootstrap, host.StepTimer:
 		// Bootstrap and timers produce no spec rule themselves; only
 		// their effects do (pass, trap delivery, re-search).
 		if err := c.absorbEffects(s.Node, s.Effects.Msgs, nil); err != nil {
 			return err
 		}
-	case driver.StepRequest:
+	case host.StepRequest:
 		// Rule 1: new data at the requesting node.
 		node := c.posOf(s.Node)
 		if err := c.apply("1", fmt.Sprintf("request at node %d", s.Node), func(b trs.Binding) bool {
@@ -291,7 +291,7 @@ func (c *Checker) handleStep(s driver.Step) error {
 		if err := c.absorbEffects(s.Node, s.Effects.Msgs, nil); err != nil {
 			return err
 		}
-	case driver.StepRelease:
+	case host.StepRelease:
 		if sh, ok := c.pinned[s.Node]; ok {
 			return c.releasePinned(s, sh)
 		}
@@ -300,7 +300,7 @@ func (c *Checker) handleStep(s driver.Step) error {
 		if err := c.absorbEffects(s.Node, s.Effects.Msgs, nil); err != nil {
 			return err
 		}
-	case driver.StepDeliver:
+	case host.StepDeliver:
 		if s.Msg == nil {
 			return fmt.Errorf("deliver step without a message")
 		}
@@ -313,7 +313,7 @@ func (c *Checker) handleStep(s driver.Step) error {
 
 // releasePinned is rule 8 firing at Release: the grantee returns the
 // decorated token to its interceptor.
-func (c *Checker) releasePinned(s driver.Step, sh spec.MsgShape) error {
+func (c *Checker) releasePinned(s host.Step, sh spec.MsgShape) error {
 	delete(c.pinned, s.Node)
 	if len(s.Effects.Msgs) != 1 || s.Effects.Msgs[0].Kind != protocol.MsgToken {
 		return fmt.Errorf("release of a decorated token must return exactly one token, got %v", s.Effects.Msgs)
@@ -338,7 +338,7 @@ func (c *Checker) releasePinned(s driver.Step, sh spec.MsgShape) error {
 	return c.settle()
 }
 
-func (c *Checker) handleDeliver(s driver.Step, m protocol.Message) error {
+func (c *Checker) handleDeliver(s host.Step, m protocol.Message) error {
 	sh, err := c.implShape(m)
 	if err != nil {
 		return err
@@ -430,9 +430,9 @@ func (c *Checker) forwardFilter(m protocol.Message) func(trs.Binding) bool {
 	}
 }
 
-func (c *Checker) handleFault(f driver.FaultEvent) error {
+func (c *Checker) handleFault(f host.FaultEvent) error {
 	switch f.Kind {
-	case driver.FaultDrop:
+	case host.FaultDrop:
 		if f.Msg.Kind.Expensive() {
 			return fmt.Errorf("token-bearing message %s dropped: no spec rule loses the token", f.Msg.Kind)
 		}
@@ -444,7 +444,7 @@ func (c *Checker) handleFault(f driver.FaultEvent) error {
 			return err
 		}
 		return c.applyLoss(sh)
-	case driver.FaultDup:
+	case host.FaultDup:
 		if f.Msg.Kind.Expensive() {
 			return fmt.Errorf("token-bearing message %s duplicated: no spec rule duplicates the token", f.Msg.Kind)
 		}

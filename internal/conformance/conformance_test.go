@@ -6,6 +6,7 @@ import (
 
 	"adaptivetoken/internal/driver"
 	"adaptivetoken/internal/faults"
+	"adaptivetoken/internal/host"
 	"adaptivetoken/internal/protocol"
 	"adaptivetoken/internal/workload"
 )
@@ -117,7 +118,7 @@ func TestForgedDeliveryRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := protocol.Message{Kind: protocol.MsgToken, From: 0, To: 1, Round: 1}
-	chk.OnStep(driver.Step{Kind: driver.StepDeliver, Node: 1, Msg: &m})
+	chk.OnStep(host.Step{Kind: host.StepDeliver, Node: 1, Msg: &m})
 	if chk.Err() == nil {
 		t.Fatal("forged token delivery accepted")
 	}

@@ -41,7 +41,6 @@ type settings struct {
 	metricsAddr string
 	shard       int
 	topts       *transport.Options
-	extra       func(*telemetry.PromWriter)
 }
 
 // WithVariant selects the protocol variant (default BinarySearch).
@@ -119,14 +118,6 @@ func WithShard(k int) Option {
 // the cluster or node. The actual address is available via MetricsAddr.
 func WithMetricsAddr(addr string) Option {
 	return func(s *settings) { s.metricsAddr = addr }
-}
-
-// WithExtraMetrics appends fn's series to the /metrics exposition after
-// the standard ones — how the client-load mode publishes its open-loop
-// latency histograms through the node's own observability endpoint.
-// Requires WithMetricsAddr.
-func WithExtraMetrics(fn func(*telemetry.PromWriter)) Option {
-	return func(s *settings) { s.extra = fn }
 }
 
 // WithTransportOptions tunes the live TCP transport: bounded per-peer
@@ -232,7 +223,7 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	c.runtimes[0].Bootstrap()
 	if s.metricsAddr != "" {
 		exp := &telemetry.Exporter{Tracer: tracer, Messages: c.msgCounts, Node: -1,
-			Shard: s.shardLabel(), Extra: s.extra}
+			Shard: s.shardLabel()}
 		srv, err := telemetry.NewServer(s.metricsAddr, exp.WriteMetrics)
 		if err != nil {
 			c.Close()
@@ -355,6 +346,7 @@ type LiveNode struct {
 	Mutex       *mutex.Mutex
 	Broadcaster *tobcast.Broadcaster
 	transport   *transport.TCP
+	tracer      *telemetry.Tracer
 	telem       *telemetry.Server
 }
 
@@ -417,6 +409,7 @@ func NewLiveNode(id int, addrs []string, bootstrap bool, opts ...Option) (*LiveN
 		Mutex:       mutex.New(rt),
 		Broadcaster: tobcast.New(rt, len(addrs)),
 		transport:   tcp,
+		tracer:      tracer,
 	}
 	rt.Start()
 	if bootstrap {
@@ -424,7 +417,7 @@ func NewLiveNode(id int, addrs []string, bootstrap bool, opts ...Option) (*LiveN
 	}
 	if s.metricsAddr != "" {
 		exp := &telemetry.Exporter{Tracer: tracer, Messages: rt.MsgStatsSorted, Node: id,
-			Shard: s.shardLabel(), Transport: tcp.Stats, Extra: s.extra}
+			Shard: s.shardLabel(), Transport: tcp.Stats}
 		srv, err := telemetry.NewServer(s.metricsAddr, exp.WriteMetrics)
 		if err != nil {
 			ln.Close()
@@ -446,6 +439,10 @@ func (ln *LiveNode) MetricsAddr() string {
 
 // Addr returns the node's actual listen address.
 func (ln *LiveNode) Addr() string { return ln.transport.Addr() }
+
+// Tracer returns the telemetry tracer backing the observability endpoint
+// (nil without WithMetricsAddr).
+func (ln *LiveNode) Tracer() *telemetry.Tracer { return ln.tracer }
 
 // TransportStats snapshots the hardened TCP transport's counters (queue
 // depth, batching, drops, reconnects).

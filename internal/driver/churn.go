@@ -44,7 +44,7 @@ import (
 )
 
 // churnState is the driver's membership bookkeeping, allocated only when a
-// run uses churn (initial members, churn events, or Kill).
+// run uses churn (initial members, churn events, or Crash).
 type churnState struct {
 	tracker *membership.Tracker
 	member  bitset.Set // current view, mirrored for O(1) gating
@@ -65,7 +65,7 @@ type churnState struct {
 // enableChurn switches the runner into churn mode. Idempotent. Counters
 // start from the current in-flight state, which is exact when churn is
 // enabled before the engine runs (every supported path: Options, injector
-// plans, and pre-run Kill/Join/Leave/Crash scheduling).
+// plans, and pre-run Join/Leave/Crash scheduling).
 func (r *Runner) enableChurn(initial []int) error {
 	if r.churn != nil {
 		return nil
@@ -154,8 +154,11 @@ func (r *Runner) Leave(at sim.Time, id int) error {
 	return r.eng.At(at, func() { r.requestLeave(id) })
 }
 
-// Crash schedules a fail-stop crash of node id at time at: the node dies
-// and leaves the view immediately, taking any held token with it.
+// Crash schedules a fail-stop crash of node id at time at: the node stops
+// processing messages and timers, anything addressed to it vanishes, and it
+// leaves the view immediately, so the survivors route around it. A crashed
+// token holder takes the token with it; only the §5 recovery extension
+// (Config.RecoveryTimeout) can regenerate it.
 func (r *Runner) Crash(at sim.Time, id int) error {
 	if err := r.checkChurnNode(id); err != nil {
 		return err
@@ -185,7 +188,7 @@ func (r *Runner) commitJoin(id int) {
 	}
 	ch.member.Set(id)
 	ch.tracker.Apply(membership.Change{Kind: membership.Join, Node: id})
-	r.host.EmitFault(FaultEvent{At: r.eng.Now(), Kind: host.FaultJoin, Node: id})
+	r.host.EmitFault(host.FaultEvent{At: r.eng.Now(), Kind: host.FaultJoin, Node: id})
 	r.propagateView(id, syncStamp, syncEpoch)
 }
 
@@ -227,7 +230,7 @@ func (r *Runner) commitCrash(id int) {
 	}
 	ch.member.Clear(id)
 	ch.tracker.Apply(membership.Change{Kind: membership.Leave, Node: id})
-	r.host.EmitFault(FaultEvent{At: r.eng.Now(), Kind: host.FaultCrash, Node: id})
+	r.host.EmitFault(host.FaultEvent{At: r.eng.Now(), Kind: host.FaultCrash, Node: id})
 	r.propagateView(protocol.None, 0, 0)
 }
 
@@ -262,7 +265,7 @@ func (r *Runner) tryLeaves() {
 		ch.wantLeave.Clear(id)
 		ch.member.Clear(id)
 		ch.tracker.Apply(membership.Change{Kind: membership.Leave, Node: id})
-		r.host.EmitFault(FaultEvent{At: r.eng.Now(), Kind: host.FaultLeave, Node: id})
+		r.host.EmitFault(host.FaultEvent{At: r.eng.Now(), Kind: host.FaultLeave, Node: id})
 		r.propagateView(protocol.None, 0, 0)
 	}
 }
@@ -285,7 +288,7 @@ func (r *Runner) propagateView(joiner int, syncStamp, syncEpoch uint64) {
 			u.SyncEpoch = syncEpoch
 		}
 		eff := r.nodes[i].ApplyView(protocol.Time(now), u)
-		r.host.Step(Step{At: now, Kind: host.StepView, Node: i}, eff)
+		r.host.Step(host.Step{At: now, Kind: host.StepView, Node: i}, eff)
 	}
 	ch.committing = false
 	r.afterChurn()

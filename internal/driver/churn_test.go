@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"adaptivetoken/internal/host"
 	"adaptivetoken/internal/protocol"
 )
 
@@ -47,12 +48,12 @@ func TestJoinExpandsRing(t *testing.T) {
 	}
 	var sawJoin, sawView bool
 	for _, f := range rec.faults {
-		if f.Kind == FaultJoin && f.Node == 4 {
+		if f.Kind == host.FaultJoin && f.Node == 4 {
 			sawJoin = true
 		}
 	}
 	for _, s := range rec.steps {
-		if s.Kind == StepView {
+		if s.Kind == host.StepView {
 			sawView = true
 		}
 	}
@@ -101,12 +102,12 @@ func TestGracefulLeaveWaitsForSafety(t *testing.T) {
 	}
 	var releaseAt, leaveAt int64 = -1, -1
 	for _, s := range rec.steps {
-		if s.Kind == StepRelease && s.Node == 2 {
+		if s.Kind == host.StepRelease && s.Node == 2 {
 			releaseAt = int64(s.At)
 		}
 	}
 	for _, f := range rec.faults {
-		if f.Kind == FaultLeave && f.Node == 2 {
+		if f.Kind == host.FaultLeave && f.Node == 2 {
 			leaveAt = int64(f.At)
 		}
 	}
@@ -138,7 +139,7 @@ func TestCrashDuringGrantNoDuplicate(t *testing.T) {
 	}
 	// Node 3 is granted around t=15 and holds until t≈65; the crash at
 	// t=20 hits mid-critical-section, with the grant outstanding.
-	if err := r.Kill(20, 3); err != nil {
+	if err := r.Crash(20, 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Request(30, 5); err != nil {
@@ -166,7 +167,7 @@ func TestCrashDuringGrantNoDuplicate(t *testing.T) {
 	}
 	var sawCrash bool
 	for _, f := range rec.faults {
-		if f.Kind == FaultCrash && f.Node == 3 {
+		if f.Kind == host.FaultCrash && f.Node == 3 {
 			sawCrash = true
 		}
 	}
@@ -222,7 +223,7 @@ func TestLeaveWhileTokenOnLoan(t *testing.T) {
 	}
 }
 
-// Kill routes through membership: the corpse leaves the view at once, so
+// Crash routes through membership: the corpse leaves the view at once, so
 // the survivors' rotation never forwards into it. This is the latent gap
 // the churn engine closes — before, a killed node stayed in everyone's
 // ring view forever and the (regenerated) token black-holed there.
@@ -234,7 +235,7 @@ func TestKillRemovesFromView(t *testing.T) {
 	}
 	// At t=10 the rotating token is arriving at node 0 (one hop per unit
 	// from the bootstrap), safely away from the victim.
-	if err := r.Kill(10, 2); err != nil {
+	if err := r.Crash(10, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Request(50, 3); err != nil {
@@ -274,9 +275,9 @@ func TestBuggyElectionDoubleMintCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Kill the bootstrap holder: the token is gone, nobody can answer the
+	// Crash the bootstrap holder: the token is gone, nobody can answer the
 	// probes, and both requesters' decide timers fire in the same window.
-	if err := r.Kill(1, 0); err != nil {
+	if err := r.Crash(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Request(10, 2); err != nil {
@@ -311,7 +312,7 @@ func TestElectionMintsExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Kill(1, 0); err != nil {
+	if err := r.Crash(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Request(10, 2); err != nil {

@@ -45,7 +45,7 @@ type Options struct {
 	Faults *faults.Injector
 	// Observer, if set, receives every state-machine step and injected
 	// fault (the conformance checker plugs in here).
-	Observer Observer
+	Observer host.Observer
 	// TrackFairness enables the Theorem 3 possession accounting.
 	TrackFairness bool
 	// InitialMembers, when non-nil, starts the run with a partial view:
@@ -169,7 +169,7 @@ func New(cfg protocol.Config, opts Options) (*Runner, error) {
 	r.eng.SetHandler(r.host)
 	// Bootstrap: node 0 starts with the token at time zero.
 	if err := r.eng.At(0, func() {
-		r.host.Step(Step{At: 0, Kind: StepBootstrap, Node: 0}, r.nodes[0].GiveToken(0))
+		r.host.Step(host.Step{At: 0, Kind: host.StepBootstrap, Node: 0}, r.nodes[0].GiveToken(0))
 	}); err != nil {
 		return nil, err
 	}
@@ -315,19 +315,9 @@ func (r *Runner) Holder() int {
 // it must be exactly 1 while no node has been killed.
 func (r *Runner) TokenCount() int { return r.census.tokens() }
 
-// Kill schedules a crash of node id at time at: the node stops processing
-// messages and timers, and anything addressed to it vanishes. Killing the
-// token holder loses the token; only the §5 recovery extension
-// (Config.RecoveryTimeout) can regenerate it. Kill is Crash: the corpse
-// also leaves the membership view, so the survivors route around it
-// instead of forwarding the (regenerated) token into a black hole forever.
-func (r *Runner) Kill(at sim.Time, id int) error {
-	return r.Crash(at, id)
-}
-
 // Pause freezes node for [at, at+dur): deliveries, timers, requests and
 // releases targeting it queue up and drain, in order, at resume. Unlike
-// Kill, a paused node loses nothing — the token census stays exact (a
+// Crash, a paused node loses nothing — the token census stays exact (a
 // token stuck at a paused node still counts as in flight).
 func (r *Runner) Pause(at sim.Time, node int, dur sim.Time) error {
 	if node < 0 || node >= r.cfg.N {
@@ -341,7 +331,7 @@ func (r *Runner) Pause(at sim.Time, node int, dur sim.Time) error {
 			return
 		}
 		r.paused.Set(node)
-		r.host.EmitFault(FaultEvent{At: r.eng.Now(), Kind: FaultPause, Node: node})
+		r.host.EmitFault(host.FaultEvent{At: r.eng.Now(), Kind: host.FaultPause, Node: node})
 	}); err != nil {
 		return err
 	}
@@ -350,7 +340,7 @@ func (r *Runner) Pause(at sim.Time, node int, dur sim.Time) error {
 			return
 		}
 		r.paused.Clear(node)
-		r.host.EmitFault(FaultEvent{At: r.eng.Now(), Kind: FaultResume, Node: node})
+		r.host.EmitFault(host.FaultEvent{At: r.eng.Now(), Kind: host.FaultResume, Node: node})
 		q := r.held[node]
 		delete(r.held, node)
 		r.heldN -= len(q)
@@ -418,7 +408,7 @@ func (r *Runner) doRelease(id int) {
 		return
 	}
 	eff := r.nodes[id].Release(protocol.Time(r.eng.Now()))
-	r.host.Step(Step{At: r.eng.Now(), Kind: StepRelease, Node: id}, eff)
+	r.host.Step(host.Step{At: r.eng.Now(), Kind: host.StepRelease, Node: id}, eff)
 }
 
 // Request schedules a token request by node at absolute time at.
@@ -452,7 +442,7 @@ func (r *Runner) doRequest(node int) {
 	if r.opts.TrackFairness {
 		r.Fair.Requested(node, now)
 	}
-	r.host.Step(Step{At: r.eng.Now(), Kind: StepRequest, Node: node}, n.Request(protocol.Time(now)))
+	r.host.Step(host.Step{At: r.eng.Now(), Kind: host.StepRequest, Node: node}, n.Request(protocol.Time(now)))
 }
 
 // RunWorkload materializes count requests from gen, schedules them, and

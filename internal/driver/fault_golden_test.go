@@ -8,6 +8,7 @@ import (
 
 	"adaptivetoken/internal/driver"
 	"adaptivetoken/internal/faults"
+	"adaptivetoken/internal/host"
 	"adaptivetoken/internal/protocol"
 	"adaptivetoken/internal/workload"
 )
@@ -75,7 +76,7 @@ func faultScenarios() []faultScenario {
 }
 
 // newFaultRun builds scenario sc's runner at seed under obs.
-func newFaultRun(t *testing.T, sc faultScenario, seed uint64, obs driver.Observer) *driver.Runner {
+func newFaultRun(t *testing.T, sc faultScenario, seed uint64, obs host.Observer) *driver.Runner {
 	t.Helper()
 	cfg := protocol.Config{
 		Variant:         sc.variant,
@@ -138,13 +139,13 @@ type tokenArrivals struct {
 	got  []string
 }
 
-func (a *tokenArrivals) OnStep(s driver.Step) {
-	if s.Kind == driver.StepDeliver && s.Node == a.node && s.Msg.Kind.Expensive() {
+func (a *tokenArrivals) OnStep(s host.Step) {
+	if s.Kind == host.StepDeliver && s.Node == a.node && s.Msg.Kind.Expensive() {
 		a.got = append(a.got, fmt.Sprintf("t=%d epoch=%d inCS=%v", s.At, s.Msg.Epoch, a.r.Node(a.node).InCS()))
 	}
 }
 
-func (*tokenArrivals) OnFault(driver.FaultEvent) {}
+func (*tokenArrivals) OnFault(host.FaultEvent) {}
 
 // TestFalseSuspicionSameEpochMint pins the violation pause-storm/seed2 ends
 // with: a known limitation of §5 regeneration (DESIGN.md §11) that the census

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adaptivetoken/internal/driver"
+	"adaptivetoken/internal/host"
 	"adaptivetoken/internal/protocol"
 	"adaptivetoken/internal/workload"
 )
@@ -71,7 +72,7 @@ func (d *traceDigest) msg(m protocol.Message) {
 	}
 }
 
-func (d *traceDigest) OnStep(s driver.Step) {
+func (d *traceDigest) OnStep(s host.Step) {
 	d.u64(0x51e9)
 	d.u64(uint64(s.At))
 	d.u64(uint64(s.Kind))
@@ -95,7 +96,7 @@ func (d *traceDigest) OnStep(s driver.Step) {
 	}
 }
 
-func (d *traceDigest) OnFault(f driver.FaultEvent) {
+func (d *traceDigest) OnFault(f host.FaultEvent) {
 	d.u64(0xfa17)
 	d.u64(uint64(f.At))
 	d.u64(uint64(f.Kind))
@@ -153,7 +154,7 @@ type attachWriter struct {
 	err     error
 }
 
-func (a *attachWriter) OnStep(s driver.Step) {
+func (a *attachWriter) OnStep(s host.Step) {
 	a.traceDigest.OnStep(s)
 	for _, m := range s.Effects.Msgs {
 		for _, c := range []byte(m.Attach) {

@@ -4,17 +4,18 @@ import (
 	"testing"
 
 	"adaptivetoken/internal/faults"
+	"adaptivetoken/internal/host"
 	"adaptivetoken/internal/protocol"
 )
 
 // traceRecorder is a minimal Observer collecting steps and fault events.
 type traceRecorder struct {
-	steps  []Step
-	faults []FaultEvent
+	steps  []host.Step
+	faults []host.FaultEvent
 }
 
-func (tr *traceRecorder) OnStep(s Step)        { tr.steps = append(tr.steps, s) }
-func (tr *traceRecorder) OnFault(f FaultEvent) { tr.faults = append(tr.faults, f) }
+func (tr *traceRecorder) OnStep(s host.Step)        { tr.steps = append(tr.steps, s) }
+func (tr *traceRecorder) OnFault(f host.FaultEvent) { tr.faults = append(tr.faults, f) }
 
 // Pausing a node mid-token-handoff holds the token (still counted in
 // flight) until resume; rotation then continues and every request is
@@ -52,7 +53,7 @@ func TestPauseMidTokenHandoff(t *testing.T) {
 	// delivery at node 4 before t=52, at least one after.
 	var before, after bool
 	for _, s := range rec.steps {
-		if s.Kind == StepDeliver && s.Node == 4 {
+		if s.Kind == host.StepDeliver && s.Node == 4 {
 			if s.At < 52 {
 				before = true
 			} else {
@@ -65,8 +66,8 @@ func TestPauseMidTokenHandoff(t *testing.T) {
 	}
 	var sawPause, sawResume bool
 	for _, f := range rec.faults {
-		sawPause = sawPause || f.Kind == FaultPause
-		sawResume = sawResume || f.Kind == FaultResume
+		sawPause = sawPause || f.Kind == host.FaultPause
+		sawResume = sawResume || f.Kind == host.FaultResume
 	}
 	if !sawPause || !sawResume {
 		t.Fatalf("pause/resume fault events missing: %+v", rec.faults)
@@ -149,7 +150,7 @@ func TestPauseMidSearch(t *testing.T) {
 	// The held gimmes must drain after resume.
 	var heldSearch bool
 	for _, s := range rec.steps {
-		if s.Kind == StepDeliver && s.Node == 5 && s.Msg != nil &&
+		if s.Kind == host.StepDeliver && s.Node == 5 && s.Msg != nil &&
 			s.Msg.Kind == protocol.MsgSearch && s.At >= 305 {
 			heldSearch = true
 		}
@@ -160,12 +161,12 @@ func TestPauseMidSearch(t *testing.T) {
 }
 
 // Crash (not pause) while a gimme is in flight toward the dying node: the
-// search dies with it, but — because Kill routes through membership — the
+// search dies with it, but — because Crash routes through membership — the
 // survivors' view heals immediately, rotation skips the corpse, and the
 // token is never lost. The re-search timer covers the dead gimme; no §5
 // recovery is ever needed. (Before the churn engine, the corpse stayed in
 // everyone's ring view forever and the token black-holed there — the
-// latent Kill gap this pins shut.)
+// latent crash gap this pins shut.)
 func TestCrashWithGimmeInFlight(t *testing.T) {
 	cfg := protocol.Config{
 		Variant:         protocol.BinarySearch,
@@ -183,7 +184,7 @@ func TestCrashWithGimmeInFlight(t *testing.T) {
 	if err := r.Request(18, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Kill(19, 5); err != nil {
+	if err := r.Crash(19, 5); err != nil {
 		t.Fatal(err)
 	}
 	r.Engine().RunUntil(5_000)

@@ -21,8 +21,8 @@ func TestRecoveryRegeneratesLostToken(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The token starts at node 0 and moves one hop per time unit, so
-	// node 3 holds it at t=3. Kill node 3 then: the token dies with it.
-	if err := r.Kill(3, 3); err != nil {
+	// node 3 holds it at t=3. Crash node 3 then: the token dies with it.
+	if err := r.Crash(3, 3); err != nil {
 		t.Fatal(err)
 	}
 	// Requests arrive after the crash.
@@ -95,7 +95,7 @@ func TestRecoveryUnderLoadAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Kill(5, 5); err != nil { // node 5 holds the token at t=5
+	if err := r.Crash(5, 5); err != nil { // node 5 holds the token at t=5
 		t.Fatal(err)
 	}
 	rng := sim.NewRNG(77)

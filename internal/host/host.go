@@ -9,7 +9,7 @@
 // internal/driver runs a Host per cluster on the discrete-event engine, and
 // internal/node runs a Host per live runtime on wall-clock timers. Because
 // the interpretation is shared, everything that hooks into it — the
-// deterministic fault injector of internal/faults, the driver.Observer
+// deterministic fault injector of internal/faults, the Observer
 // trace (and with it the internal/conformance checker), the message
 // counters of internal/metrics — works identically on simulated and live
 // runs.

@@ -10,8 +10,8 @@
 // to expose — the coordinated-omission trap. Latency is therefore measured
 // from the *scheduled* arrival, not from whenever the generator got around
 // to issuing, and recorded into the repo's mergeable metrics.Histogram so
-// per-node histograms aggregate across a scraped cluster exactly like
-// simulated ones.
+// per-node histograms aggregate across a multi-process cluster exactly
+// like simulated ones.
 //
 // Arrival processes are deterministic per seed (the same splitmix-based
 // sim.RNG the simulator uses), so a cluster-wide schedule is reproducible:
@@ -145,30 +145,31 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Report is the outcome of one Run.
+// Report is the outcome of one Run. Its JSON form is exact, histograms
+// included, so a node process can hand it to the orchestrator whole.
 type Report struct {
 	// Issued counts sessions started (arrivals not shed).
-	Issued int64
+	Issued int64 `json:"issued"`
 	// Completed counts sessions that acquired, held and released.
-	Completed int64
+	Completed int64 `json:"completed"`
 	// Errors counts sessions whose acquire failed (context timeout,
 	// stopped runtime).
-	Errors int64
+	Errors int64 `json:"errors"`
 	// Shed counts arrivals dropped at the MaxInFlight cap.
-	Shed int64
+	Shed int64 `json:"shed"`
 	// Late counts arrivals issued ≥ one unit behind schedule — pacer
 	// overrun diagnostics.
-	Late int64
+	Late int64 `json:"late"`
 	// MaxInFlight is the high-water mark of concurrent sessions.
-	MaxInFlight int64
+	MaxInFlight int64 `json:"max_in_flight"`
 	// Latency is scheduled-arrival → release latency in Unit ticks
 	// (coordinated-omission-free: lateness of the pacer counts against
 	// the measurement, exactly like a queued real client).
-	Latency metrics.Histogram
+	Latency metrics.Histogram `json:"latency"`
 	// Acquire is scheduled-arrival → acquire latency in Unit ticks: the
 	// client-perceived responsiveness, the live counterpart of the
 	// simulator's wait metric.
-	Acquire metrics.Histogram
+	Acquire metrics.Histogram `json:"acquire"`
 }
 
 // Run executes the load against lk until the schedule is exhausted and

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -148,22 +150,50 @@ func (h *Histogram) Reset() {
 	*h = Histogram{}
 }
 
-// FromBuckets reconstructs a histogram from per-bucket (non-cumulative)
-// counts and the observation sum — the inverse of the Prometheus
-// exposition, which carries buckets and sum but not the maximum. The exact
-// maximum is unrecoverable, so it is approximated by the upper edge of the
-// last occupied bucket; quantiles keep their one-octave error bound and
-// merging reconstructed histograms stays exact bucket-for-bucket.
-func FromBuckets(counts []int64, sum int64) Histogram {
-	var h Histogram
-	for i, c := range counts {
-		if i >= HistBuckets || c <= 0 {
-			continue
-		}
-		h.counts[i] += c
-		h.count += c
-		h.max = BucketUpper(i)
+// histJSON is a Histogram's wire form: every bucket, so a histogram that
+// crosses a process boundary decodes to exactly the one encoded.
+type histJSON struct {
+	Count   int64   `json:"count"`
+	Sum     int64   `json:"sum"`
+	Max     int64   `json:"max"`
+	Buckets []int64 `json:"buckets"`
+}
+
+// MarshalJSON encodes the histogram exactly: count, sum, max and all
+// HistBuckets bucket counts.
+func (h Histogram) MarshalJSON() ([]byte, error) {
+	return json.Marshal(histJSON{Count: h.count, Sum: h.sum, Max: h.max, Buckets: h.counts[:]})
+}
+
+// UnmarshalJSON decodes what MarshalJSON encodes. The input may come from
+// another process, so it rejects a bucket list that is not HistBuckets
+// long, a negative value, and bucket counts that do not add up to the
+// count.
+func (h *Histogram) UnmarshalJSON(b []byte) error {
+	var w histJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
 	}
-	h.sum = sum
-	return h
+	if len(w.Buckets) != HistBuckets {
+		return fmt.Errorf("histogram: %d buckets, want %d", len(w.Buckets), HistBuckets)
+	}
+	if w.Sum < 0 || w.Max < 0 {
+		return fmt.Errorf("histogram: negative sum %d or max %d", w.Sum, w.Max)
+	}
+	left := w.Count // compared before each add, so no sum can overflow
+	for i, c := range w.Buckets {
+		if c < 0 {
+			return fmt.Errorf("histogram: bucket %d count %d is negative", i, c)
+		}
+		if c > left {
+			return fmt.Errorf("histogram: buckets add up to more than count %d", w.Count)
+		}
+		left -= c
+	}
+	if left != 0 {
+		return fmt.Errorf("histogram: buckets add up to %d, count is %d", w.Count-left, w.Count)
+	}
+	*h = Histogram{count: w.Count, sum: w.Sum, max: w.Max}
+	copy(h.counts[:], w.Buckets)
+	return nil
 }

@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -91,5 +93,52 @@ func TestBucketUpperMonotone(t *testing.T) {
 			t.Fatalf("BucketUpper(%d) = %d not increasing past %d", i, ub, prev)
 		}
 		prev = ub
+	}
+}
+
+// TestHistogramJSONExact: a histogram survives a JSON round trip exactly —
+// every bucket, the count, the sum and the maximum — and a decoder fed by
+// another process rejects a bucket list of the wrong length, a negative
+// count and counts that do not add up.
+func TestHistogramJSONExact(t *testing.T) {
+	var h Histogram
+	for _, v := range []int64{0, 1, 3, 3, 100, 1000, 123456789, math.MaxInt64 / 4} {
+		h.Observe(v)
+	}
+	buf, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Histogram
+	if err := json.Unmarshal(buf, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got != h {
+		t.Fatalf("round trip changed the histogram:\n got %+v\nwant %+v", got, h)
+	}
+	if got.Max() != math.MaxInt64/4 || got.Sum() != h.Sum() || got.Count() != 8 {
+		t.Fatalf("max %d sum %d count %d", got.Max(), got.Sum(), got.Count())
+	}
+
+	zeros := strings.TrimSuffix(strings.Repeat("0,", HistBuckets), ",")
+	for name, in := range map[string]string{
+		"short":          `{"count":0,"sum":0,"max":0,"buckets":[0,0]}`,
+		"long":           `{"count":0,"sum":0,"max":0,"buckets":[` + zeros + `,0]}`,
+		"missing":        `{"count":0,"sum":0,"max":0}`,
+		"negative":       `{"count":0,"sum":0,"max":0,"buckets":[-1,1` + zeros[3:] + `]}`,
+		"negative count": `{"count":-1,"sum":0,"max":0,"buckets":[` + zeros + `]}`,
+		"negative sum":   `{"count":0,"sum":-1,"max":0,"buckets":[` + zeros + `]}`,
+		"undercount":     `{"count":2,"sum":0,"max":0,"buckets":[1` + zeros[1:] + `]}`,
+		"overcount":      `{"count":1,"sum":0,"max":0,"buckets":[2` + zeros[1:] + `]}`,
+		"overflow":       `{"count":1,"sum":0,"max":0,"buckets":[9223372036854775807,-9223372036854775806` + zeros[3:] + `]}`,
+	} {
+		var d Histogram
+		if err := json.Unmarshal([]byte(in), &d); err == nil {
+			t.Errorf("%s: accepted %s", name, in)
+		}
+	}
+	var empty Histogram
+	if err := json.Unmarshal([]byte(`{"count":0,"sum":0,"max":0,"buckets":[`+zeros+`]}`), &empty); err != nil {
+		t.Fatalf("empty histogram rejected: %v", err)
 	}
 }

@@ -258,8 +258,8 @@ func (m *Messages) Snapshot() map[string]int64 {
 
 // KindCount is one (kind, count) pair of a sorted snapshot.
 type KindCount struct {
-	Kind  string
-	Count int64
+	Kind  string `json:"kind"`
+	Count int64  `json:"count"`
 }
 
 // SnapshotSorted returns the per-kind counts as a slice sorted by kind

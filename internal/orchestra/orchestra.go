@@ -1,28 +1,29 @@
 // Package orchestra launches and drives a real multi-process ringnode
 // cluster: it allocates ports, wires one or more rings, waits for every
 // node's /healthz, starts synchronized open-loop load over stdin
-// coordination, optionally crashes a node mid-run, scrapes every /metrics
-// endpoint, merges the fleet's histograms into cluster-wide distributions,
-// and shuts the processes down in staged waves.
+// coordination, optionally crashes a node mid-run, merges the fleet's
+// reports into cluster-wide distributions, and shuts the processes down in
+// staged waves.
 //
 // The contract with cmd/ringnode's -load mode:
 //
 //	stdin  "start\n"       begin generating load (after -wait-start)
-//	stdout "LOAD_DONE {…}" machine-readable per-node summary
+//	stdout "LOAD_DONE {…}" the node's one report, a JSON LoadDone
 //	stdin  "exit\n"        shut down (the node holds /metrics open until then)
 //
-// Scraping happens between LOAD_DONE and exit, so every histogram is
-// final when read; mergeability of metrics.Histogram makes the cluster
-// aggregate exact bucket-for-bucket, the same arithmetic the simulator's
-// experiment tables use. A node's process exiting nonzero (leaked timers,
-// guard violations) fails the whole run — the orchestrator is a test
-// harness first and a benchmark runner second.
+// A LoadDone carries every histogram bucket for bucket, so merging the
+// fleet's reports makes the cluster aggregate exact, the same arithmetic
+// the simulator's experiment tables use. A node's process exiting nonzero
+// (leaked timers, guard violations) or printing a malformed report fails
+// the whole run — the orchestrator is a test harness first and a benchmark
+// runner second.
 package orchestra
 
 import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -35,8 +36,9 @@ import (
 	"sync"
 	"time"
 
+	"adaptivetoken/internal/loadgen"
 	"adaptivetoken/internal/metrics"
-	"adaptivetoken/internal/telemetry"
+	"adaptivetoken/internal/transport"
 )
 
 // Config describes one orchestrated run.
@@ -168,25 +170,36 @@ type TransportTotals struct {
 	DialRetries         int64 `json:"dial_retries"`
 }
 
+// LoadDone is the one report a ringnode -load process sends: the line
+// "LOAD_DONE {json}" on stdout once its load window has drained. It
+// carries everything the orchestrator aggregates, histograms exact.
+type LoadDone struct {
+	Node int `json:"node"`
+	// Violations counts flock guard conflicts inside critical sections.
+	Violations int64 `json:"violations"`
+	loadgen.Report
+	// Grants and Resp are the node tracer's grant count and Definition 3
+	// responsiveness histogram, in protocol time units.
+	Grants    int64               `json:"grants"`
+	Resp      metrics.Histogram   `json:"responsiveness"`
+	Messages  []metrics.KindCount `json:"messages"`
+	Transport transport.Stats     `json:"transport"`
+}
+
 // proc is one managed ringnode process.
 type proc struct {
 	NodeResult
 	cmd     *exec.Cmd
 	stdin   io.WriteCloser
-	done    chan loadDone // LOAD_DONE record, closed without send on EOF
+	done    chan report // exactly one, sent by watchStdout
 	waitErr chan error
 }
 
-// loadDone mirrors cmd/ringnode's LOAD_DONE JSON.
-type loadDone struct {
-	Node        int   `json:"node"`
-	Issued      int64 `json:"issued"`
-	Completed   int64 `json:"completed"`
-	Errors      int64 `json:"errors"`
-	Shed        int64 `json:"shed"`
-	Late        int64 `json:"late"`
-	MaxInFlight int64 `json:"max_in_flight"`
-	Violations  int64 `json:"violations"`
+// report is watchStdout's verdict on one node: its LoadDone, or why there
+// is none.
+type report struct {
+	LoadDone
+	err error
 }
 
 // Run executes one orchestrated cluster run.
@@ -238,7 +251,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				Addr:    fmt.Sprintf("127.0.0.1:%d", ports[2*i]),
 				Metrics: fmt.Sprintf("127.0.0.1:%d", ports[2*i+1]),
 			},
-			done:    make(chan loadDone, 1),
+			done:    make(chan report, 1),
 			waitErr: make(chan error, 1),
 		}
 		args := []string{
@@ -330,32 +343,22 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			continue
 		}
 		select {
-		case d, ok := <-p.done:
-			if !ok {
-				p.ExitError = "exited before LOAD_DONE"
+		case r := <-p.done:
+			if r.err != nil {
+				p.ExitError = r.err.Error()
 				break
 			}
-			p.Issued, p.Completed, p.Errors = d.Issued, d.Completed, d.Errors
-			p.Shed, p.Late, p.MaxInFlight = d.Shed, d.Late, d.MaxInFlight
-			p.Violations = d.Violations
+			p.Issued, p.Completed, p.Errors = r.Issued, r.Completed, r.Errors
+			p.Shed, p.Late, p.MaxInFlight = r.Shed, r.Late, r.MaxInFlight
+			p.Violations = r.Violations
+			res.merge(&r.LoadDone)
 		case <-time.After(collectDeadline):
 			p.ExitError = "LOAD_DONE timeout"
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-	logf("orchestra: load complete in %v, scraping %d endpoints",
-		time.Since(start).Round(time.Millisecond), cfg.Nodes)
-
-	// Scrape every surviving node's /metrics and merge.
-	for _, p := range procs {
-		if p.Crashed || p.ExitError != "" {
-			continue
-		}
-		if err := scrapeInto(p, res); err != nil {
-			p.ExitError = fmt.Sprintf("scrape: %v", err)
-		}
-	}
+	logf("orchestra: load complete in %v", time.Since(start).Round(time.Millisecond))
 
 	// Staged shutdown: "exit" in waves, each wave fully reaped before the
 	// next — the pattern that historically exposes timer leaks, because
@@ -460,28 +463,38 @@ func reservePorts(n int) ([]int, error) {
 	return ports, nil
 }
 
-// watchStdout scans a node's stdout for the LOAD_DONE record, forwarding
-// everything else to the log.
-func watchStdout(r io.Reader, done chan<- loadDone, log io.Writer, id int) {
+// watchStdout scans a node's stdout for its LOAD_DONE record, forwarding
+// everything else to the log, and sends done exactly one report: the first
+// record, why it did not decode, or that the output ended without one. It
+// reads on to EOF so the node never blocks on a full pipe.
+func watchStdout(r io.Reader, done chan<- report, log io.Writer, id int) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	sent := false
 	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "LOAD_DONE ") {
+		rec, ok := strings.CutPrefix(sc.Text(), "LOAD_DONE ")
+		if !ok {
 			if log != nil {
-				fmt.Fprintf(log, "[node %d] %s\n", id, line)
+				fmt.Fprintf(log, "[node %d] %s\n", id, sc.Text())
 			}
 			continue
 		}
-		var d loadDone
-		if err := json.Unmarshal([]byte(line[len("LOAD_DONE "):]), &d); err == nil && !sent {
-			done <- d
-			sent = true
+		if sent {
+			continue
 		}
+		var r report
+		if err := json.Unmarshal([]byte(rec), &r.LoadDone); err != nil {
+			r.err = fmt.Errorf("decode LOAD_DONE: %w", err)
+		}
+		done <- r
+		sent = true
 	}
 	if !sent {
-		close(done)
+		err := sc.Err()
+		if err == nil {
+			err = errors.New("exited before LOAD_DONE")
+		}
+		done <- report{err: err}
 	}
 }
 
@@ -522,53 +535,23 @@ func awaitHealthy(ctx context.Context, procs []*proc, timeout time.Duration) err
 	return nil
 }
 
-// scrapeInto pulls one node's /metrics and merges it into the aggregate.
-func scrapeInto(p *proc, res *Result) error {
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get("http://" + p.Metrics + "/metrics")
-	if err != nil {
-		return err
+// merge adds one node's report to the cluster aggregate.
+func (res *Result) merge(d *LoadDone) {
+	res.Latency.Merge(&d.Latency)
+	res.Acquire.Merge(&d.Acquire)
+	res.Resp.Merge(&d.Resp)
+	res.Grants += d.Grants
+	for _, kc := range d.Messages {
+		res.Msgs[kc.Kind] += kc.Count
 	}
-	defer resp.Body.Close()
-	s, err := telemetry.ParseProm(resp.Body)
-	if err != nil {
-		return err
-	}
-	if h, ok := s.Histogram("adaptivetoken_load_latency_ms"); ok {
-		res.Latency.Merge(&h)
-	}
-	if h, ok := s.Histogram("adaptivetoken_load_acquire_ms"); ok {
-		res.Acquire.Merge(&h)
-	}
-	if h, ok := s.Histogram("adaptivetoken_responsiveness_time_units"); ok {
-		res.Resp.Merge(&h)
-	}
-	if v, ok := s.Value("adaptivetoken_grants_total"); ok {
-		res.Grants += int64(v)
-	}
-	for kind, v := range s.Kinds("adaptivetoken_messages_total", "kind") {
-		if v != 0 {
-			res.Msgs[kind] += int64(v)
-		}
-	}
-	t := &res.Transport
-	for _, c := range []struct {
-		name string
-		dst  *int64
-	}{
-		{"adaptivetoken_transport_frames_total", &t.Frames},
-		{"adaptivetoken_transport_flushes_total", &t.Flushes},
-		{"adaptivetoken_transport_batched_writes_total", &t.BatchedWrites},
-		{"adaptivetoken_transport_dropped_backpressure_total", &t.DroppedBackpressure},
-		{"adaptivetoken_transport_dropped_write_error_total", &t.DroppedWriteError},
-		{"adaptivetoken_transport_reconnects_total", &t.Reconnects},
-		{"adaptivetoken_transport_dial_retries_total", &t.DialRetries},
-	} {
-		if v, ok := s.Value(c.name); ok {
-			*c.dst += int64(v)
-		}
-	}
-	return nil
+	t, s := &res.Transport, &d.Transport
+	t.Frames += s.Frames
+	t.Flushes += s.Flushes
+	t.BatchedWrites += s.BatchedWrites
+	t.DroppedBackpressure += s.DroppedBackpressure
+	t.DroppedWriteError += s.DroppedWriteError
+	t.Reconnects += s.Reconnects
+	t.DialRetries += s.DialRetries
 }
 
 // writeManifest publishes the live cluster's endpoints.

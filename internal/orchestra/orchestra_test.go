@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -23,10 +24,10 @@ func buildRingnode(t *testing.T) string {
 }
 
 // TestOrchestratedCluster is the live end-to-end: a real multi-process
-// 2-ring cluster, synchronized open-loop load, scrape-and-merge, staged
-// shutdown — every node must exit clean (no leaked timers, no guard
-// violations) and the merged histograms must account for every completed
-// session.
+// 2-ring cluster, synchronized open-loop load, one LOAD_DONE report per
+// node merged, staged shutdown — every node must exit clean (no leaked
+// timers, no guard violations) and the merged histograms and counters must
+// account for every completed session.
 func TestOrchestratedCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process cluster run")
@@ -60,13 +61,22 @@ func TestOrchestratedCluster(t *testing.T) {
 		t.Fatalf("%d session errors on a healthy cluster", res.Errors)
 	}
 	if res.Grants == 0 {
-		t.Fatal("scrape saw zero grants")
+		t.Fatal("reports carry zero grants")
 	}
 	if got := res.Latency.Count(); got != res.Completed {
 		t.Fatalf("merged latency histogram has %d samples, want %d completed", got, res.Completed)
 	}
+	if got := res.Acquire.Count(); got != res.Completed {
+		t.Fatalf("merged acquire histogram has %d samples, want %d completed", got, res.Completed)
+	}
+	if res.Resp.Count() == 0 {
+		t.Fatal("merged responsiveness histogram is empty")
+	}
+	if res.Msgs["token"] == 0 {
+		t.Fatalf("reports carry no token messages: %v", res.Msgs)
+	}
 	if res.Transport.Frames == 0 {
-		t.Fatal("scrape saw zero transport frames")
+		t.Fatal("reports carry zero transport frames")
 	}
 	for _, n := range res.Nodes {
 		if n.Crashed || n.ExitError != "" {
@@ -90,6 +100,37 @@ func TestOrchestratedCluster(t *testing.T) {
 	}
 	if m.Shards != 2 || len(m.Nodes) != 6 {
 		t.Fatalf("manifest shards=%d nodes=%d", m.Shards, len(m.Nodes))
+	}
+}
+
+// TestWatchStdoutReports: a record that does not decode is that node's
+// error, named as a decode failure, not a missing record; other lines are
+// forwarded to the log and the first good record wins.
+func TestWatchStdoutReports(t *testing.T) {
+	for _, tc := range []struct {
+		name, out, wantErr string
+	}{
+		{"malformed", "started\nLOAD_DONE {bad\n", "decode LOAD_DONE"},
+		{"bad histogram", `LOAD_DONE {"node":1,"latency":{"count":1,"sum":0,"max":0,"buckets":[0]}}` + "\n", "decode LOAD_DONE"},
+		{"missing", "started\n", "exited before LOAD_DONE"},
+		{"good", `LOAD_DONE {"node":3,"completed":2}` + "\nLOAD_DONE {bad\n", ""},
+	} {
+		done := make(chan report, 1)
+		var log strings.Builder
+		watchStdout(strings.NewReader(tc.out), done, &log, 3)
+		r := <-done
+		if tc.wantErr == "" {
+			if r.err != nil || r.Node != 3 || r.Completed != 2 {
+				t.Errorf("%s: got %+v, err %v", tc.name, r.LoadDone, r.err)
+			}
+			continue
+		}
+		if r.err == nil || !strings.Contains(r.err.Error(), tc.wantErr) {
+			t.Errorf("%s: err %v, want it to name %q", tc.name, r.err, tc.wantErr)
+		}
+		if strings.Contains(tc.out, "started") && !strings.Contains(log.String(), "[node 3] started") {
+			t.Errorf("%s: log %q lacks the forwarded line", tc.name, log.String())
+		}
 	}
 }
 

@@ -36,10 +36,6 @@ type Exporter struct {
 	// the same schema as TCP deployments, so one scrape config and one
 	// dashboard cover both).
 	Transport func() transport.Stats
-	// Extra, when set, appends arbitrary additional series after the
-	// standard ones — the hook the client-load mode uses for its latency
-	// histograms and session counters.
-	Extra func(*PromWriter)
 }
 
 // WriteMetrics encodes the current state onto p. It has the signature
@@ -119,10 +115,6 @@ func (e *Exporter) WriteMetrics(p *PromWriter) {
 	p.Counter("adaptivetoken_transport_dial_retries_total",
 		"Failed dial attempts retried with jittered backoff.",
 		float64(ts.DialRetries), sl...)
-
-	if e.Extra != nil {
-		e.Extra(p)
-	}
 }
 
 // shardLabel returns the shard label set (empty when unsharded).

@@ -79,15 +79,3 @@ func TestExporterTransportValues(t *testing.T) {
 		}
 	}
 }
-
-// TestExporterExtraHook: Extra runs after the standard series and its
-// output survives Flush.
-func TestExporterExtraHook(t *testing.T) {
-	e := &Exporter{Node: 1, Extra: func(p *PromWriter) {
-		p.Counter("adaptivetoken_load_sessions_total", "Client sessions issued.", 42)
-	}}
-	out := render(t, e)
-	if !strings.Contains(out, "adaptivetoken_load_sessions_total 42") {
-		t.Fatalf("Extra hook series missing:\n%s", out)
-	}
-}

@@ -18,6 +18,7 @@ import (
 	"adaptivetoken/internal/conformance"
 	"adaptivetoken/internal/driver"
 	"adaptivetoken/internal/faults"
+	"adaptivetoken/internal/host"
 	"adaptivetoken/internal/protocol"
 	"adaptivetoken/internal/sim"
 	"adaptivetoken/internal/workload"
@@ -506,7 +507,7 @@ func Run(sc Scenario, replay *faults.Schedule) Report {
 			rep.Err = err
 			return rep
 		}
-		opts.Observer = chk.(driver.Observer)
+		opts.Observer = chk.(host.Observer)
 	}
 	r, err := driver.New(cfg, opts)
 	if err != nil {
@@ -578,7 +579,7 @@ func runChurn(r *driver.Runner, sc Scenario, events []faults.ChurnEvent) error {
 func runCrash(r *driver.Runner, sc Scenario) error {
 	victim := 1 + int(sc.Seed%uint64(sc.N-1)) // never node 0 (the bootstrapper)
 	killAt := sim.Time(10 + sc.Seed%30)
-	if err := r.Kill(killAt, victim); err != nil {
+	if err := r.Crash(killAt, victim); err != nil {
 		return err
 	}
 	return serve(r, sc, map[int]bool{victim: true}, 0, false)

@@ -83,36 +83,36 @@ type Stats struct {
 	// Enqueued counts envelopes Send accepted for a remote peer: encoded
 	// into its queue, or refused by the encoder and counted in
 	// DroppedEncode too. Self-sends and backpressure drops are excluded.
-	Enqueued int64
+	Enqueued int64 `json:"enqueued"`
 	// Frames counts frames written to sockets. A batch is counted just
 	// before its write, so the snapshot is never behind what the peer has
 	// received; a batch whose write fails moves to DroppedWriteError.
-	Frames int64
+	Frames int64 `json:"frames"`
 	// Flushes counts socket writes (one per batch).
-	Flushes int64
+	Flushes int64 `json:"flushes"`
 	// BatchedWrites counts frames that shared a flush with at least one
 	// other frame — the payoff of write batching.
-	BatchedWrites int64
+	BatchedWrites int64 `json:"batched_writes"`
 	// DroppedBackpressure counts cheap envelopes dropped because the peer
 	// queue held QueueLen frames under PolicyDrop.
-	DroppedBackpressure int64
+	DroppedBackpressure int64 `json:"dropped_backpressure"`
 	// DroppedWriteError counts frames abandoned when a socket write
 	// failed mid-batch. Delivery of such frames is ambiguous (the peer may
 	// have read a prefix of the batch); the transport never re-sends them —
 	// at-most-once — so this is an upper bound on loss, repaired by the
 	// protocol's research/recovery timeouts.
-	DroppedWriteError int64
+	DroppedWriteError int64 `json:"dropped_write_error"`
 	// DroppedEncode counts envelopes the frame encoder refused (payload
 	// over MaxFrame); they never reach the socket.
-	DroppedEncode int64
+	DroppedEncode int64 `json:"dropped_encode"`
 	// Reconnects counts connections torn down after a write error.
-	Reconnects int64
+	Reconnects int64 `json:"reconnects"`
 	// DialRetries counts failed dial attempts (the peer was unreachable;
 	// the writer retried after a jittered backoff).
-	DialRetries int64
+	DialRetries int64 `json:"dial_retries"`
 	// QueueDepth is the total number of frames waiting in peer queues; a
 	// frame the writer holds in hand while it dials is not waiting.
-	QueueDepth int64
+	QueueDepth int64 `json:"queue_depth"`
 }
 
 // TCP is an Endpoint over real sockets, hardened for sustained load: one

@@ -113,7 +113,7 @@ fi
 ringload_pid=""
 sed 's/^/ringload | /' "$tmp/ringload.out"
 
-# The aggregated record must show real work: grants scraped off the
+# The aggregated record must show real work: grants reported by the
 # fleet ("grants" appears exactly once — the cluster-wide sum).
 grants=$(grep -o '"grants": [0-9]*' "$tmp/bench.json" | head -1 | awk '{print $2}')
 if [ -z "$grants" ] || [ "$grants" -eq 0 ]; then
