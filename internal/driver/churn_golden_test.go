@@ -19,10 +19,10 @@ import (
 var goldenChurnTraces = map[string]uint64{
 	"join-storm/seed1":  0xbb22dbf877a1b978,
 	"join-storm/seed2":  0x8e4de05dfe01160f,
-	"leave-storm/seed1": 0xa482578cf896e06d,
-	"leave-storm/seed2": 0xe8b5d5e7143e49ec,
-	"crash-regen/seed1": 0x93bd8f35e20dca3e,
-	"crash-regen/seed2": 0x7f789c3aa5c44c19,
+	"leave-storm/seed1": 0x2e1e6da71dfe2ded,
+	"leave-storm/seed2": 0x327682a3fad029ec,
+	"crash-regen/seed1": 0x34d8c29f7bc1d37e,
+	"crash-regen/seed2": 0x6d4ccd8118cdcd19,
 }
 
 // churnScenario describes one golden churn shape over a 12-node ring.

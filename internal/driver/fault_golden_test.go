@@ -22,10 +22,10 @@ import (
 // for a deliberate semantic change) with
 // GOLDEN_TRACE_PRINT=1 go test -run TestFaultGoldenTrace ./internal/driver/.
 var goldenFaultTraces = map[string]uint64{
-	"lossy/seed1":       0xf7b1f21330319fc9,
-	"lossy/seed2":       0x21c1f8a11bfb86a3,
-	"pause-storm/seed1": 0xa7db8ee39da45019,
-	"pause-storm/seed2": 0x19bf0e36cd987f51,
+	"lossy/seed1":       0x335cf606b1057e09,
+	"lossy/seed2":       0xfb67d440fa5b31e3,
+	"pause-storm/seed1": 0x0634af74f22fe499,
+	"pause-storm/seed2": 0xacbb78f4544ff5d1,
 }
 
 // goldenFaultErrs are the census verdicts golden runs end with; every other

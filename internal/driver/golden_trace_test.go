@@ -1,8 +1,10 @@
 package driver_test
 
 import (
+	"cmp"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"adaptivetoken/internal/driver"
@@ -15,20 +17,23 @@ import (
 // flat typed 4-ary heap (PR 4). These digests were recorded from the
 // original engine on fig9-shape workloads; the test pins the refactored
 // engine to the exact same trace — same event order, same step contents —
-// at two seeds per variant. Regenerate (only for a deliberate semantic
+// at two seeds per variant. Every digest that hashes a satisfaction record
+// was re-recorded once when the record began hashing as its (requester, seq)
+// pairs in requester order, a form that does not depend on how the token
+// stores it. Regenerate (only for a deliberate semantic
 // change) with GOLDEN_TRACE_PRINT=1 go test -run TestGoldenTrace ./internal/driver/.
 var goldenTraces = map[string]uint64{
 	"ring/seed1":      0x34d2ed08efc866c9,
 	"ring/seed2":      0x13b7a29cc1058410,
-	"linear/seed1":    0x4daf130bf088455c,
-	"linear/seed2":    0x0430c36faf924709,
-	"binsearch/seed1": 0x91165afdbb9b29d4,
-	"binsearch/seed2": 0x6624c55954f98f29,
+	"linear/seed1":    0x595e5c99b3ab991c,
+	"linear/seed2":    0xa1532f908a38ce89,
+	"binsearch/seed1": 0x2fc942e54d997894,
+	"binsearch/seed2": 0x784b308c6c816329,
 	// Recorded at 59e6a73, before Node was split hot/cold: the two shipped
 	// configurations that write state the figure variants leave alone
 	// (TestGoldenTraceWrittenState).
-	"adaptive/seed1": 0x43c99c0e7358b845,
-	"attach/seed1":   0xd5b3136dbfd93dae,
+	"adaptive/seed1": 0xc754858911da8bc5,
+	"attach/seed1":   0xd21675eba5fc7a6e,
 }
 
 // traceDigest folds every observed step and fault event into an FNV-1a hash.
@@ -65,8 +70,12 @@ func (d *traceDigest) msg(m protocol.Message) {
 	d.u64(uint64(int64(m.Hops)))
 	d.u64(m.Epoch)
 	d.u64(uint64(len(m.Attach)))
-	d.u64(uint64(len(m.Served)))
-	for _, rec := range m.Served {
+	// The record hashes as a set: its (requester, seq) pairs in requester
+	// order, whatever order the message holds them in.
+	recs := slices.Clone(m.Served)
+	slices.SortFunc(recs, func(a, b protocol.ServedRec) int { return cmp.Compare(a.Requester, b.Requester) })
+	d.u64(uint64(len(recs)))
+	for _, rec := range recs {
 		d.u64(uint64(int64(rec.Requester)))
 		d.u64(rec.ReqSeq)
 	}
