@@ -22,7 +22,9 @@ var goldenChurnTraces = map[string]uint64{
 	"leave-storm/seed1": 0x2e1e6da71dfe2ded,
 	"leave-storm/seed2": 0x327682a3fad029ec,
 	"crash-regen/seed1": 0x34d8c29f7bc1d37e,
-	"crash-regen/seed2": 0x6d4ccd8118cdcd19,
+	// Re-recorded when a minted token began with an empty satisfaction
+	// record instead of the minting node's stale one.
+	"crash-regen/seed2": 0x35686e93ec287c25,
 }
 
 // churnScenario describes one golden churn shape over a 12-node ring.
