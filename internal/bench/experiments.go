@@ -245,7 +245,6 @@ func pushRun(v protocol.Variant) runFn {
 		if x == 1 {
 			j.Gen = &workload.Bursty{N: n, BurstSize: 6, WithinGap: 1, IdleGap: 400}
 		}
-		j.Cfg.PushWait = 2
 		return j
 	}
 }

@@ -122,9 +122,6 @@ func New(cfg protocol.Config) (*Checker, error) {
 	if cfg.TrapGC != protocol.GCNone {
 		return nil, fmt.Errorf("conformance: trap GC %s is a refinement the spec systems do not model", cfg.TrapGC)
 	}
-	if cfg.MaxTraps != 0 {
-		return nil, fmt.Errorf("conformance: bounded trap tables are not modeled (MaxTraps=%d)", cfg.MaxTraps)
-	}
 	if cfg.RecoveryTimeout != 0 {
 		return nil, fmt.Errorf("conformance: §5 recovery regenerates tokens outside the Figure 5–7 systems")
 	}
@@ -176,9 +173,6 @@ func NewPinned(cfg protocol.Config, members []int, base uint64, pin spec.Pin) (*
 	}
 	if cfg.TrapGC != protocol.GCNone {
 		return nil, fmt.Errorf("conformance: trap GC %s is a refinement the spec systems do not model", cfg.TrapGC)
-	}
-	if cfg.MaxTraps != 0 {
-		return nil, fmt.Errorf("conformance: bounded trap tables are not modeled (MaxTraps=%d)", cfg.MaxTraps)
 	}
 	p := spec.Params{N: pin.N, MaxBroadcasts: unbounded, MaxPending: unbounded, MaxPasses: unbounded}
 	var sys trs.System

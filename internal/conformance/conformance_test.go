@@ -134,7 +134,6 @@ func TestUnsupportedConfigsRejected(t *testing.T) {
 		{Variant: protocol.BinarySearch, N: 6, TrapGC: protocol.GCRotation},
 		{Variant: protocol.BinarySearch, N: 6, TrapGC: protocol.GCInverse},
 		{Variant: protocol.BinarySearch, N: 6, RecoveryTimeout: 100},
-		{Variant: protocol.BinarySearch, N: 6, MaxTraps: 2},
 		{Variant: protocol.RingToken, N: 1},
 	}
 	for _, cfg := range bad {

@@ -167,9 +167,13 @@ func New(cfg protocol.Config, opts Options) (*Runner, error) {
 	// Physical deliveries and armed timers land back in the host as typed
 	// event records, no closure per event.
 	r.eng.SetHandler(r.host)
-	// Bootstrap: node 0 starts with the token at time zero.
+	// Bootstrap: node 0 starts with the token at time zero. The token is
+	// minted at the end of New, after any initial view is in place, and its
+	// effects apply at time zero, ahead of every other event: what minting
+	// allocates (the satisfaction vector, 8 B a node) is set-up, not run.
+	var boot protocol.Effects
 	if err := r.eng.At(0, func() {
-		r.host.Step(host.Step{At: 0, Kind: host.StepBootstrap, Node: 0}, r.nodes[0].GiveToken(0))
+		r.host.Step(host.Step{At: 0, Kind: host.StepBootstrap, Node: 0}, boot)
 	}); err != nil {
 		return nil, err
 	}
@@ -191,6 +195,7 @@ func New(cfg protocol.Config, opts Options) (*Runner, error) {
 			return nil, err
 		}
 	}
+	boot = r.nodes[0].GiveToken(0)
 	return r, nil
 }
 

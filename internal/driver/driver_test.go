@@ -45,8 +45,8 @@ func allVariants(n int) []protocol.Config {
 		{Variant: protocol.LinearSearch, N: n},
 		{Variant: protocol.BinarySearch, N: n},
 		{Variant: protocol.DirectedSearch, N: n},
-		{Variant: protocol.PushProbe, N: n, PushWait: 2},
-		{Variant: protocol.Combined, N: n, PushWait: 2},
+		{Variant: protocol.PushProbe, N: n},
+		{Variant: protocol.Combined, N: n},
 	}
 }
 

@@ -1,10 +1,8 @@
 package driver_test
 
 import (
-	"cmp"
 	"fmt"
 	"os"
-	"slices"
 	"testing"
 
 	"adaptivetoken/internal/driver"
@@ -71,13 +69,19 @@ func (d *traceDigest) msg(m protocol.Message) {
 	d.u64(m.Epoch)
 	d.u64(uint64(len(m.Attach)))
 	// The record hashes as a set: its (requester, seq) pairs in requester
-	// order, whatever order the message holds them in.
-	recs := slices.Clone(m.Served)
-	slices.SortFunc(recs, func(a, b protocol.ServedRec) int { return cmp.Compare(a.Requester, b.Requester) })
-	d.u64(uint64(len(recs)))
-	for _, rec := range recs {
-		d.u64(uint64(int64(rec.Requester)))
-		d.u64(rec.ReqSeq)
+	// order, one for each requester it shows served.
+	k := 0
+	for _, seq := range m.Served {
+		if seq != 0 {
+			k++
+		}
+	}
+	d.u64(uint64(k))
+	for j, seq := range m.Served {
+		if seq != 0 {
+			d.u64(uint64(j))
+			d.u64(seq)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ package host
 
 import (
 	"errors"
+	"slices"
 
 	"adaptivetoken/internal/faults"
 	"adaptivetoken/internal/metrics"
@@ -224,6 +225,8 @@ func (h *Host) Apply(id int, e protocol.Effects) {
 // one code path for simulated and live runs alike. It reads m where it lies
 // (Apply points it into the step's Effects.Msgs) and keeps no reference:
 // the message is first copied at Network.Deliver, once per physical copy.
+// A token's satisfaction vector has one owner, its receiver, so a
+// duplicated message's second copy gets a clone of it.
 func (h *Host) Dispatch(m *protocol.Message) {
 	if h.hooks.Condemned != nil && h.hooks.Condemned() {
 		return
@@ -238,7 +241,9 @@ func (h *Host) Dispatch(m *protocol.Message) {
 	if v.Dup {
 		h.msgs.IncDuplicated()
 		h.EmitFault(FaultEvent{At: h.clock.Now(), Kind: FaultDup, Msg: *m, Delay: v.DupDelay})
-		h.net.Deliver(*m, v.DupDelay)
+		dup := *m
+		dup.Served = slices.Clone(m.Served)
+		h.net.Deliver(dup, v.DupDelay)
 	}
 	if v.Delay > 0 {
 		h.msgs.IncDelayed()

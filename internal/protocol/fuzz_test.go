@@ -14,8 +14,8 @@ func fuzzScript(t *testing.T, v Variant, script []byte) {
 	const n = 6
 	cfg := Config{
 		Variant: v, N: n,
-		ResearchTimeout: 50, PushWait: 3, RecoveryTimeout: 40,
-		TrapGC: GCRotation, MaxTraps: 4,
+		ResearchTimeout: 50, RecoveryTimeout: 40,
+		TrapGC: GCRotation,
 	}
 	nd, err := New(2, cfg)
 	if err != nil {
@@ -127,7 +127,7 @@ func FuzzHandleMessage(f *testing.F) {
 		returnTo, requester int, reqSeq uint64, window int, origin uint64,
 		hasToken, want bool, epoch uint64) {
 		for _, v := range variants {
-			nd, err := New(3, Config{Variant: v, N: n, RecoveryTimeout: 10, PushWait: 2, TrapGC: GCRotation})
+			nd, err := New(3, Config{Variant: v, N: n, RecoveryTimeout: 10, TrapGC: GCRotation})
 			if err != nil {
 				t.Fatal(err)
 			}

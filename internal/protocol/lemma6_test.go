@@ -123,7 +123,6 @@ func TestFuzzMessagesNeverPanic(t *testing.T) {
 			TrapGC:          []GCMode{GCNone, GCRotation, GCInverse}[trial%3],
 			RecoveryTimeout: 50,
 			ResearchTimeout: 30,
-			PushWait:        2,
 		}
 		nodes := make([]*Node, n)
 		for i := range nodes {

@@ -57,10 +57,10 @@ type Node struct {
 	traps  []trapEntry
 	trapAt *trapIndex
 
-	// served is the rotation-GC satisfaction record riding on the token, a
-	// window over a backing shared with every message and node that has
-	// seen it (see served.go).
-	served []ServedRec
+	// served is the rotation-GC satisfaction record riding on the token:
+	// served[j] is the highest request of node j granted. The holder owns
+	// it; nil while the token is elsewhere (see served.go).
+	served []uint64
 
 	// epoch is the token epoch of §5 failure handling.
 	epoch uint64
@@ -293,7 +293,8 @@ type Stats struct {
 	LastSeen uint64
 	Epoch    uint64
 	Traps    int
-	Served   int
+	// Served counts the requesters the held record shows served.
+	Served int
 	// TrapIndexed reports that the trap table has outgrown a scan and
 	// carries its requester index; Cold that the node has allocated its
 	// cold state (a view, a recovery round, an attachment or a directed
@@ -315,7 +316,7 @@ func (n *Node) Stats() Stats {
 		LastSeen: n.lastSeen,
 		Epoch:    n.epoch,
 		Traps:    n.TrapCount(),
-		Served:   len(n.served),
+		Served:   servedCount(n.served),
 
 		TrapIndexed: n.trapAt != nil,
 		Cold:        n.cold != nil,
@@ -382,6 +383,7 @@ func (n *Node) GiveTokenInto(now Time, e *Effects) {
 	n.bootstrapped = true
 	n.hasToken = true
 	n.returnTo = None
+	n.mintServed()
 	n.afterTokenAcquired(now, e)
 }
 
@@ -485,10 +487,11 @@ func (n *Node) HandleMessageInto(now Time, msg Message, e *Effects) {
 }
 
 // validMessage checks that every node reference in a message is on the
-// ring (ReturnTo may also be None).
+// ring (ReturnTo may also be None), and that no record has more entries than
+// the ring has nodes.
 func (n *Node) validMessage(m *Message) bool {
 	onRing := func(x int) bool { return x >= 0 && x < n.cfg.N }
-	if !onRing(m.From) || !onRing(m.To) {
+	if !onRing(m.From) || !onRing(m.To) || len(m.Served) > n.cfg.N {
 		return false
 	}
 	switch m.Kind {
@@ -646,7 +649,7 @@ func (n *Node) sendToken(e *Effects, kind MsgKind, dst int) *Message {
 	m.Round = n.round
 	m.Epoch = n.epoch
 	m.Attach = n.Attachment()
-	m.Served = n.servedSnapshot()
+	m.Served = n.takeServed()
 	return m
 }
 
@@ -788,8 +791,9 @@ func (n *Node) findTrap(requester int) (int, bool) {
 	return 0, false
 }
 
-// addTrap stores τ_requester, deduplicating by requester and respecting the
-// table bound. It reports whether the trap is stored (or already present).
+// addTrap stores τ_requester, deduplicating by requester. It reports whether
+// the trap is stored (or already present): always, except for the node's own
+// request.
 // The append that takes the table past trapScanMax — the crossover measured
 // there — builds its index.
 func (n *Node) addTrap(requester int, reqSeq uint64, from int, stamp uint64) bool {
@@ -803,9 +807,6 @@ func (n *Node) addTrap(requester int, reqSeq uint64, from int, stamp uint64) boo
 			n.traps[i].bornRound = n.freshRound(stamp)
 		}
 		return true
-	}
-	if n.cfg.MaxTraps > 0 && n.TrapCount() >= n.cfg.MaxTraps {
-		return false
 	}
 	n.trapAt.set(requester, len(n.traps))
 	n.traps = append(n.traps, trapEntry{
@@ -842,7 +843,7 @@ func (n *Node) popTrap() (trapEntry, bool) {
 			n.traps = n.traps[:0]
 			n.trapHead = 0
 		}
-		if n.cfg.TrapGC == GCRotation && servedIn(n.served, tr) {
+		if n.servedIn(tr) {
 			continue
 		}
 		return tr, true

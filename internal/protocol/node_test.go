@@ -34,7 +34,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := binConfig(3).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
-	if err := (Config{Variant: BinarySearch, N: 3, MaxTraps: -2}).Validate(); err == nil {
+	if err := (Config{Variant: BinarySearch, N: 3, TrapTTLRounds: -2}).Validate(); err == nil {
 		t.Error("negative bound must fail")
 	}
 }
@@ -288,16 +288,6 @@ func TestTrapFIFOAndDedup(t *testing.T) {
 	e2 := n.HandleMessage(5, Message{Kind: MsgToken, From: 2, To: 0, Round: 4})
 	if len(e2.Msgs) != 1 || e2.Msgs[0].Requester != 5 {
 		t.Fatalf("second delivery = %+v", e2.Msgs)
-	}
-}
-
-func TestMaxTrapsBound(t *testing.T) {
-	n := newNode(t, 0, Config{Variant: BinarySearch, N: 16, MaxTraps: 2})
-	for r := 1; r <= 5; r++ {
-		n.HandleMessage(0, Message{Kind: MsgSearch, From: r, To: 0, Window: 1, Requester: r, ReqSeq: 1})
-	}
-	if n.TrapCount() != 2 {
-		t.Errorf("traps = %d, want 2", n.TrapCount())
 	}
 }
 

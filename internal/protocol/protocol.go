@@ -207,17 +207,13 @@ type Message struct {
 	// (the paper's "the token can carry enough information"); the
 	// total-order broadcast service stores its sequence counter here.
 	Attach string
-	// Served is the rotation-GC satisfaction record riding on the token:
-	// recently granted requests, letting nodes drop (and holders skip)
-	// traps whose requester was already served.
-	Served []ServedRec
-}
-
-// ServedRec records one satisfied request for rotation GC ("information
-// about the satisfaction of a search request", §4.4).
-type ServedRec struct {
-	Requester int
-	ReqSeq    uint64
+	// Served is the rotation-GC satisfaction record riding on the token
+	// ("information about the satisfaction of a search request", §4.4):
+	// Served[j] is the highest ReqSeq granted to node j, 0 for none. It
+	// lets nodes drop (and holders skip) traps whose requester was already
+	// served. It has one owner: once the message is handed on, only the
+	// receiver may read or write it (served.go).
+	Served []uint64
 }
 
 // TimerKind classifies timers a node may arm.
@@ -328,12 +324,6 @@ type Config struct {
 	// TrapTTLRounds is the age, in circulation rounds, after which
 	// GCRotation drops a trap. Zero defaults to 2·N rounds.
 	TrapTTLRounds int
-	// ServedCap bounds the satisfaction record carried by the token
-	// under GCRotation. Zero defaults to min(2·N, 512).
-	ServedCap int
-	// MaxTraps bounds the trap table; extra traps are rejected (the
-	// requester's re-search recovers). Zero means unbounded.
-	MaxTraps int
 
 	// ResearchTimeout re-issues the search for a pending request after
 	// this delay, tolerating lost cheap messages. Zero disables.
@@ -348,13 +338,6 @@ type Config struct {
 	// Exists only so the torture harness can plant the bug and prove the
 	// per-epoch safety check catches it.
 	BuggyElection bool
-
-	// PushWait is how long a PushProbe holder waits for want replies
-	// before passing the token on. Zero defaults to 2.
-	PushWait Time
-	// PushFanout bounds how many nodes a push round probes. Zero probes
-	// the full binary cascade (⌈log₂ N⌉ targets).
-	PushFanout int
 }
 
 // Validate checks the configuration.
@@ -367,13 +350,13 @@ func (c Config) Validate() error {
 	if c.N < 1 {
 		return fmt.Errorf("protocol: ring size %d", c.N)
 	}
-	if c.HoldIdle < 0 || c.MinHold < 0 || c.MaxHold < 0 || c.ResearchTimeout < 0 || c.PushWait < 0 || c.RecoveryTimeout < 0 {
+	if c.HoldIdle < 0 || c.MinHold < 0 || c.MaxHold < 0 || c.ResearchTimeout < 0 || c.RecoveryTimeout < 0 {
 		return fmt.Errorf("protocol: negative duration in config")
 	}
 	if c.AdaptiveSpeed && c.MaxHold < c.MinHold {
 		return fmt.Errorf("protocol: MaxHold %d < MinHold %d", c.MaxHold, c.MinHold)
 	}
-	if c.TrapTTLRounds < 0 || c.MaxTraps < 0 || c.PushFanout < 0 {
+	if c.TrapTTLRounds < 0 {
 		return fmt.Errorf("protocol: negative bound in config")
 	}
 	return nil

@@ -182,7 +182,7 @@ func (n *Node) regenerate(now Time, maxEpoch, maxStamp uint64, e *Effects) {
 	n.lastSeen = n.round
 	n.hasToken = true
 	n.returnTo = None
-	n.served = nil // a minted token has served nobody yet
+	n.mintServed()
 	n.afterTokenAcquired(now, e)
 }
 

@@ -1,6 +1,9 @@
 package protocol
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func recConfig(n int) Config {
 	return Config{Variant: BinarySearch, N: n, RecoveryTimeout: 100}
@@ -262,7 +265,7 @@ func TestServedRecordSuppressesStaleDelivery(t *testing.T) {
 	// Trap for node 3's request #2.
 	holder.addTrap(3, 2, 3, 0)
 	// The token already knows request #2 of node 3 completed.
-	holder.served = []ServedRec{{Requester: 3, ReqSeq: 2}}
+	holder.served[3] = 2
 	var e Effects
 	if holder.deliverNext(0, &e) {
 		t.Fatal("served trap must be skipped, not delivered")
@@ -296,8 +299,11 @@ func TestServedRecordTravelsAndSweeps(t *testing.T) {
 	if pass == nil {
 		t.Fatal("release must pass the token")
 	}
-	if len(pass.Served) != 1 || pass.Served[0].Requester != 0 {
-		t.Fatalf("served record = %+v", pass.Served)
+	if want := []uint64{1, 0, 0, 0, 0, 0, 0, 0}; !slices.Equal(pass.Served, want) {
+		t.Fatalf("served record = %v, want %v", pass.Served, want)
+	}
+	if a.served != nil {
+		t.Fatalf("node 0 kept the record it passed on: %v", a.served)
 	}
 	// Node 1 holds a stale trap for node 0's request #1; receiving the
 	// token sweeps it.
@@ -309,33 +315,13 @@ func TestServedRecordTravelsAndSweeps(t *testing.T) {
 	}
 }
 
-func TestServedRecordCap(t *testing.T) {
-	cfg := Config{Variant: BinarySearch, N: 4, TrapGC: GCRotation, ServedCap: 3}
-	n := newNode(t, 0, cfg)
-	for r := 1; r <= 6; r++ {
-		n.recordServed(r, 1)
-	}
-	if len(n.served) != 3 {
-		t.Fatalf("served len = %d, want 3", len(n.served))
-	}
-	// The most recent survive.
-	if n.served[2].Requester != 6 {
-		t.Errorf("newest record = %+v", n.served[2])
-	}
-	// Dedup keeps the freshest seq.
-	n.recordServed(6, 9)
-	if len(n.served) != 3 || n.served[2].ReqSeq != 9 {
-		t.Errorf("dedup broken: %+v", n.served)
-	}
-}
-
 func TestServedIgnoredOutsideRotationGC(t *testing.T) {
 	n := newNode(t, 0, Config{Variant: BinarySearch, N: 4})
 	n.recordServed(1, 1)
 	if len(n.served) != 0 {
 		t.Error("recordServed must be a no-op without rotation GC")
 	}
-	n.adoptServed([]ServedRec{{Requester: 1, ReqSeq: 1}})
+	n.adoptServed([]uint64{0, 1, 0, 0})
 	if len(n.served) != 0 {
 		t.Error("adoptServed must be a no-op without rotation GC")
 	}

@@ -135,30 +135,25 @@ func (n *Node) handleProbeReply(_ Time, m *Message, e *Effects) {
 	n.sendSearch(e, MsgProbe, dest, 0)
 }
 
+// pushWait is how long a PushProbe holder waits for want replies before
+// passing the token on.
+const pushWait Time = 2
+
 // startPushRound has an idle holder probe for demand (the push dual of
 // §4.2): want-queries fan out to the binary cascade of ring positions, and
 // a timer concludes the round.
 func (n *Node) startPushRound(_ Time, e *Effects) {
 	n.pushGen++
-	sent := 0
 	seen := map[int]bool{n.ID(): true}
 	for w := n.halfLive(); w >= 1; w /= 2 {
-		if n.cfg.PushFanout > 0 && sent >= n.cfg.PushFanout {
-			break
-		}
 		dst := n.succLive(n.ID(), w)
 		if seen[dst] {
 			continue
 		}
 		seen[dst] = true
 		n.send(e, MsgWantQuery, dst).Requester = n.ID()
-		sent++
 	}
-	wait := n.cfg.PushWait
-	if wait <= 0 {
-		wait = 2
-	}
-	e.arm(wait, TimerPushRound, n.pushGen)
+	e.arm(pushWait, TimerPushRound, n.pushGen)
 }
 
 // handleWantQuery answers a push probe.

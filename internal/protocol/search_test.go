@@ -92,7 +92,7 @@ func TestDirectedProbeReplyStaleOrServed(t *testing.T) {
 }
 
 func TestPushRoundProbesCascade(t *testing.T) {
-	cfg := Config{Variant: PushProbe, N: 8, PushWait: 3}
+	cfg := Config{Variant: PushProbe, N: 8}
 	holder := newNode(t, 0, cfg)
 	e := holder.GiveToken(0)
 	// Idle holder starts a push round instead of passing.
@@ -112,7 +112,7 @@ func TestPushRoundProbesCascade(t *testing.T) {
 	if !dests[4] || !dests[2] || !dests[1] {
 		t.Errorf("cascade targets = %v", dests)
 	}
-	if len(e.Timers) != 1 || e.Timers[0].Kind != TimerPushRound || e.Timers[0].Delay != 3 {
+	if len(e.Timers) != 1 || e.Timers[0].Kind != TimerPushRound || e.Timers[0].Delay != pushWait {
 		t.Fatalf("timers = %+v", e.Timers)
 	}
 	if !holder.HasToken() {
@@ -127,7 +127,7 @@ func TestPushRoundProbesCascade(t *testing.T) {
 }
 
 func TestPushWantReplyDelivers(t *testing.T) {
-	cfg := Config{Variant: PushProbe, N: 8, PushWait: 3}
+	cfg := Config{Variant: PushProbe, N: 8}
 	holder := newNode(t, 0, cfg)
 	e := holder.GiveToken(0)
 
@@ -159,21 +159,6 @@ func TestPushWantReplyDelivers(t *testing.T) {
 	e5 := holder.HandleMessage(3, Message{Kind: MsgWantReply, From: 2, To: 0, Requester: 2, Want: false})
 	if len(e5.Msgs) != 0 {
 		t.Error("no-want reply must be ignored")
-	}
-}
-
-func TestPushFanoutBound(t *testing.T) {
-	cfg := Config{Variant: PushProbe, N: 64, PushWait: 2, PushFanout: 2}
-	holder := newNode(t, 0, cfg)
-	e := holder.GiveToken(0)
-	queries := 0
-	for _, m := range e.Msgs {
-		if m.Kind == MsgWantQuery {
-			queries++
-		}
-	}
-	if queries != 2 {
-		t.Errorf("queries = %d, want 2", queries)
 	}
 }
 

@@ -96,7 +96,7 @@ func TestTimerGenerationsNeverDecrease(t *testing.T) {
 
 	// The push round's generation is its own counter: every idle visit of
 	// the token to a probing holder starts a round above the last.
-	p := newNode(t, 0, Config{Variant: Combined, N: 4, PushWait: 3})
+	p := newNode(t, 0, Config{Variant: Combined, N: 4})
 	first := g.see("push bootstrap", p.GiveToken(0), TimerPushRound)[0]
 	g.see("push round", p.HandleTimer(3, TimerPushRound, first))
 	second := g.see("push second visit", p.HandleMessage(50, Message{Kind: MsgToken, From: 3, To: 0, Round: 9}), TimerPushRound)[0]

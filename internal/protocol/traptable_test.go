@@ -15,11 +15,9 @@ import (
 type refTraps struct {
 	id       int
 	gc       GCMode
-	maxTraps int
 	ttl      uint64
-	limit    int // satisfaction-record cap
 	lastSeen uint64
-	served   []ServedRec
+	served   []uint64
 	member   []bool // the membership view; nil is the full ring
 	traps    []trapEntry
 }
@@ -40,9 +38,6 @@ func (r *refTraps) add(requester int, reqSeq uint64, from int, stamp uint64) boo
 		}
 		return true
 	}
-	if r.maxTraps > 0 && len(r.traps) >= r.maxTraps {
-		return false
-	}
 	r.traps = append(r.traps, trapEntry{requester: int32(requester), reqSeq: reqSeq, from: int32(from), bornRound: r.fresh(stamp)})
 	return true
 }
@@ -58,7 +53,7 @@ func (r *refTraps) age() {
 }
 
 func (r *refTraps) isServed(tr trapEntry) bool {
-	return r.gc == GCRotation && servedIn(r.served, tr)
+	return r.gc == GCRotation && int(tr.requester) < len(r.served) && r.served[tr.requester] >= tr.reqSeq
 }
 
 func (r *refTraps) pop() (trapEntry, bool) {
@@ -83,14 +78,11 @@ func (r *refTraps) remove(requester int) (trapEntry, bool) {
 	return tr, true
 }
 
-func (r *refTraps) adopt(recs []ServedRec) {
+func (r *refTraps) adopt(v []uint64) {
 	if r.gc != GCRotation {
 		return
 	}
-	if len(recs) > r.limit {
-		recs = recs[len(recs)-r.limit:]
-	}
-	r.served = recs
+	r.served = v
 	r.keep(func(tr trapEntry) bool { return !r.isServed(tr) })
 }
 
@@ -126,7 +118,7 @@ func newTrapRig(t *testing.T, name string, cfg Config, span, stride int) *trapRi
 	g := &trapRig{name: name, cfg: cfg, span: span, stride: stride}
 	g.lazy, g.indexed = newNode(t, id, cfg), newNode(t, id, cfg)
 	g.indexed.trapAt = newTrapIndex(cfg.N, nil, 0)
-	g.ref = &refTraps{id: id, gc: cfg.TrapGC, maxTraps: cfg.MaxTraps, ttl: uint64(cfg.TrapTTLRounds), limit: g.lazy.servedCap()}
+	g.ref = &refTraps{id: id, gc: cfg.TrapGC, ttl: uint64(cfg.TrapTTLRounds)}
 	return g
 }
 
@@ -199,8 +191,8 @@ func (g *trapRig) add(t *testing.T, step, requester int, reqSeq uint64, from int
 func trapScript(t *testing.T, script []byte) {
 	const span = 3 * trapScanMax
 	rigs := []*trapRig{
-		newTrapRig(t, "dense/rotation", Config{Variant: BinarySearch, N: 64, TrapGC: GCRotation, TrapTTLRounds: 9, ServedCap: 6}, span, 1),
-		newTrapRig(t, "sparse/rotation/bounded", Config{Variant: LinearSearch, N: denseTrapIndex + 1, TrapGC: GCRotation, TrapTTLRounds: 9, MaxTraps: trapScanMax + 4}, span, 499),
+		newTrapRig(t, "dense/rotation", Config{Variant: BinarySearch, N: 64, TrapGC: GCRotation, TrapTTLRounds: 9}, span, 1),
+		newTrapRig(t, "sparse/rotation", Config{Variant: LinearSearch, N: denseTrapIndex + 1, TrapGC: GCRotation, TrapTTLRounds: 9}, span, 499),
 		newTrapRig(t, "dense/inverse", Config{Variant: BinarySearch, N: 40, TrapGC: GCInverse}, span, 1),
 	}
 	rigs[2].popViews = true
@@ -242,13 +234,13 @@ func trapScript(t *testing.T, script []byte) {
 				}
 			case 5:
 				what = "adopt"
-				recs := make([]ServedRec, b%8)
-				for k := range recs {
-					recs[k] = ServedRec{Requester: g.requester(a + byte(5*k)), ReqSeq: uint64(int(b>>3)+k) % 8}
+				v := make([]uint64, n)
+				for k := 0; k < int(b%8); k++ {
+					v[g.requester(a+byte(5*k))] = uint64(int(b>>3)+k) % 8
 				}
-				g.ref.adopt(recs)
-				g.lazy.adoptServed(recs)
-				g.indexed.adoptServed(recs)
+				g.ref.adopt(v)
+				g.lazy.adoptServed(v)
+				g.indexed.adoptServed(v)
 			case 6:
 				what = "age"
 				g.ref.lastSeen += uint64(b % 7)
@@ -300,9 +292,9 @@ func TestTrapTableRandomScripts(t *testing.T) {
 // BenchmarkAddTrap is the measurement behind trapScanMax: one addTrap on a
 // table of the given size, scanned against indexed, on a small ring (dense
 // index) and a huge one (map). "dedup" hits the newest entry, the far end of
-// a scan. "fresh" brings a requester the table does not hold, to a table at
-// its MaxTraps bound: it is looked up, found absent and turned away, so every
-// visit is fresh with no undo step in the timing; the append this leaves out
+// a scan. "fresh" looks up a requester the table does not hold, the lookup
+// on which addTrap decides to append, so every visit is fresh with no undo
+// step in the timing; the append this leaves out
 // costs both sides the same, the index store it leaves out only the indexed
 // side. Calls walk a pool of 65,536 nodes (fewer where that would take over
 // 256 MiB) in strides of five eighths of it, which no prefetcher follows: even
@@ -334,7 +326,7 @@ func BenchmarkAddTrap(b *testing.B) {
 				for gcd(stride, pool) != 1 {
 					stride++
 				}
-				cfg := Config{Variant: LinearSearch, N: ring.n, MaxTraps: live}
+				cfg := Config{Variant: LinearSearch, N: ring.n}
 				nodes := make([]Node, pool)
 				for i := range nodes {
 					nd := &nodes[i]
@@ -358,8 +350,10 @@ func BenchmarkAddTrap(b *testing.B) {
 						at := 0
 						for i := 0; i < b.N; i++ {
 							at = (at + stride) % pool
-							if nodes[at].addTrap(c.requester, 1, 1, 0) != c.stored {
-								b.Fatalf("addTrap(%d) = %v", c.requester, !c.stored)
+							if c.stored {
+								nodes[at].addTrap(c.requester, 1, 1, 0)
+							} else if _, ok := nodes[at].findTrap(c.requester); ok {
+								b.Fatalf("requester %d is in the table", c.requester)
 							}
 						}
 					})

@@ -66,7 +66,7 @@ func TestSlabSlotsClearedOnRecycle(t *testing.T) {
 	_ = e.AtMessage(1, protocol.Message{
 		Kind:   protocol.MsgToken,
 		Attach: "attachment",
-		Served: []protocol.ServedRec{{Requester: 1, ReqSeq: 2}},
+		Served: []uint64{0, 2},
 	})
 	e.Drain(1)
 	if len(e.free) != 1 {
@@ -105,7 +105,7 @@ func (h *fanOutHandler) Arrive(m protocol.Message) {
 			Kind:   protocol.MsgToken,
 			Hops:   i,
 			Attach: "child",
-			Served: []protocol.ServedRec{{Requester: i}},
+			Served: []uint64{uint64(i)},
 		})
 	}
 }
@@ -131,7 +131,7 @@ func TestDispatchInPlaceAcrossSlabGrowth(t *testing.T) {
 			_ = e.AtMessage(tc.delay, protocol.Message{
 				Kind:   protocol.MsgToken,
 				Attach: "root",
-				Served: []protocol.ServedRec{{Requester: 7, ReqSeq: 9}},
+				Served: []uint64{9},
 			})
 			before := &e.recs[0]
 			if !e.Step() {
@@ -141,7 +141,7 @@ func TestDispatchInPlaceAcrossSlabGrowth(t *testing.T) {
 				t.Fatalf("slab has %d slots (moved: %v), want %d in a new array: the burst must not reuse the slot in flight",
 					len(e.recs), &e.recs[0] != before, 1+h.burst)
 			}
-			if root := h.got[0]; root.Attach != "root" || len(root.Served) != 1 || root.Served[0].ReqSeq != 9 {
+			if root := h.got[0]; root.Attach != "root" || len(root.Served) != 1 || root.Served[0] != 9 {
 				t.Fatalf("handler saw %+v", root)
 			}
 			if len(e.free) != 1 || e.free[0] != 0 {
@@ -155,7 +155,7 @@ func TestDispatchInPlaceAcrossSlabGrowth(t *testing.T) {
 				t.Fatalf("%d messages arrived, want %d", len(h.got), 1+h.burst)
 			}
 			for i, m := range h.got[1:] {
-				if m.Hops != i+1 || m.Attach != "child" || len(m.Served) != 1 || m.Served[0].Requester != i+1 {
+				if m.Hops != i+1 || m.Attach != "child" || len(m.Served) != 1 || m.Served[0] != uint64(i+1) {
 					t.Fatalf("message %d arrived as %+v", i+1, m)
 				}
 			}

@@ -28,8 +28,9 @@ import (
 // From and To, then every field of the protocol.Message or AppData in
 // struct order. Unsigned fields are uvarints, signed ones zig-zag varints,
 // the two booleans share one flags byte, strings are a uvarint length plus
-// raw bytes, and Served is a uvarint count plus (Requester, ReqSeq) pairs.
-// All members of a ring run one build: there is no version negotiation, and
+// raw bytes, and Served is a uvarint count plus the (requester, seq) pairs of
+// its non-zero entries in requester order: a zig-zag varint and a uvarint
+// each. All members of a ring run one build: there is no version negotiation, and
 // a peer speaking another format is cut off at its first frame.
 
 // MaxFrame bounds one frame's payload. Envelopes are small (a protocol
@@ -57,9 +58,46 @@ const (
 	flagsDefined = flagHasToken | flagWant
 )
 
-// minServedRec is the fewest bytes one encoded ServedRec occupies; it bounds
-// a declared Served count by the bytes that remain.
-const minServedRec = 2
+// minServedPair is the fewest bytes one encoded (requester, seq) pair
+// occupies; it bounds a declared Served count by the bytes that remain.
+const minServedPair = 2
+
+// vectors recycles one endpoint's satisfaction vectors
+// (protocol.Message.Served), each ring entries long. A vector has one owner,
+// the message carrying the token, so once Send has encoded a token its vector
+// is free: Send keeps it here, and the decoder refills it for the next token
+// the endpoint reads. A ring hands every node the token as often as it takes
+// it, so an endpoint holds about one.
+type vectors struct {
+	ring int
+	free chan []uint64
+}
+
+func newVectors(ring int) *vectors {
+	return &vectors{ring: ring, free: make(chan []uint64, 2)}
+}
+
+// put keeps v for reuse if it is ring entries long and there is room.
+func (vs *vectors) put(v []uint64) {
+	if len(v) != vs.ring {
+		return
+	}
+	select {
+	case vs.free <- v:
+	default:
+	}
+}
+
+// get returns a zero vector of ring entries.
+func (vs *vectors) get() []uint64 {
+	select {
+	case v := <-vs.free:
+		clear(v)
+		return v
+	default:
+		return make([]uint64, vs.ring)
+	}
+}
 
 // appendFrame encodes e as one frame appended to buf (reusing its
 // capacity) and returns the extended slice. On error buf is returned
@@ -94,10 +132,18 @@ func appendFrame(buf []byte, e Envelope) ([]byte, error) {
 		b = binary.AppendVarint(b, int64(m.Hops))
 		b = binary.AppendUvarint(b, m.Epoch)
 		b = appendString(b, m.Attach)
-		b = binary.AppendUvarint(b, uint64(len(m.Served)))
-		for _, s := range m.Served {
-			b = binary.AppendVarint(b, int64(s.Requester))
-			b = binary.AppendUvarint(b, s.ReqSeq)
+		k := 0
+		for _, seq := range m.Served {
+			if seq != 0 {
+				k++
+			}
+		}
+		b = binary.AppendUvarint(b, uint64(k))
+		for j, seq := range m.Served {
+			if seq != 0 {
+				b = binary.AppendVarint(b, int64(j))
+				b = binary.AppendUvarint(b, seq)
+			}
 		}
 	} else {
 		a := e.App
@@ -175,11 +221,13 @@ func (d *payloadDecoder) string() string {
 }
 
 // decodePayload decodes one frame payload into e. It allocates only what e
-// keeps — the AppData, the strings and the Served slice; the Message box
-// comes from NewProto — and nothing it returns aliases payload. Truncation,
-// an unknown tag, undefined flag bits, a length or count beyond the
-// remaining bytes, and trailing bytes all fail.
-func decodePayload(payload []byte, e *Envelope) error {
+// keeps — the AppData and the strings; the Message box comes from NewProto
+// and a Served vector from vs, sized by the ring, never by the frame — and
+// nothing it returns aliases payload. Truncation, an unknown tag, undefined
+// flag bits, a length or count beyond the remaining bytes, a served
+// requester off the ring, requesters not strictly ascending, a zero seq and
+// trailing bytes all fail.
+func decodePayload(payload []byte, e *Envelope, vs *vectors) error {
 	d := payloadDecoder{b: payload}
 	tag := d.byte()
 	*e = Envelope{From: d.int(), To: d.int()}
@@ -207,12 +255,16 @@ func decodePayload(payload []byte, e *Envelope) error {
 		m.Epoch = d.uvarint()
 		m.Attach = d.string()
 		if n := d.uvarint(); n > 0 {
-			if n > uint64(len(d.b)/minServedRec) {
+			if n > uint64(min(len(d.b)/minServedPair, vs.ring)) {
 				return errMalformed
 			}
-			m.Served = make([]protocol.ServedRec, n)
-			for i := range m.Served {
-				m.Served[i] = protocol.ServedRec{Requester: d.int(), ReqSeq: d.uvarint()}
+			m.Served = vs.get()
+			for prev := -1; n > 0; n-- {
+				j, seq := d.int(), d.uvarint()
+				if j <= prev || j >= vs.ring || seq == 0 {
+					return errMalformed
+				}
+				m.Served[j], prev = seq, j
 			}
 		}
 		e.Proto = m
@@ -237,15 +289,16 @@ func decodePayload(payload []byte, e *Envelope) error {
 const readBuffer = 4 << 10
 
 // frameReader decodes frames off one connection, reusing its payload
-// buffer across frames up to maxKeptBuf.
+// buffer across frames up to maxKeptBuf and taking Served vectors from vs.
 type frameReader struct {
 	r   *bufio.Reader
 	hdr [4]byte // a field, not a local: a local would escape through io.ReadFull
 	buf []byte
+	vs  *vectors
 }
 
-func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, readBuffer)}
+func newFrameReader(r io.Reader, vs *vectors) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, readBuffer), vs: vs}
 }
 
 // next reads one frame and decodes it into e. Any framing violation
@@ -267,7 +320,7 @@ func (fr *frameReader) next(e *Envelope) error {
 	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
 		return err
 	}
-	err := decodePayload(fr.buf, e)
+	err := decodePayload(fr.buf, e, fr.vs)
 	if cap(fr.buf) > maxKeptBuf {
 		fr.buf = nil
 	}

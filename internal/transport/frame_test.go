@@ -13,12 +13,25 @@ import (
 	"adaptivetoken/internal/protocol"
 )
 
+// testRing is the ring size the tests' frame readers size Served vectors to.
+const testRing = 16
+
+// servedOf returns a testRing-entry record with the given seq at each
+// requester, alternately.
+func servedOf(pairs ...uint64) []uint64 {
+	v := make([]uint64, testRing)
+	for i := 0; i+1 < len(pairs); i += 2 {
+		v[pairs[i]] = pairs[i+1]
+	}
+	return v
+}
+
 // Three envelopes the golden-bytes, allocation and benchmark tests share.
 var (
 	tokenEnv = Envelope{From: 0, To: 1, Proto: &protocol.Message{
 		Kind: protocol.MsgToken, From: 0, To: 1, Round: 300,
 		ReturnTo: protocol.None, Requester: protocol.None, Epoch: 2, Attach: "seq=7",
-		Served: []protocol.ServedRec{{Requester: 4, ReqSeq: 9}, {Requester: 5, ReqSeq: 1}},
+		Served: servedOf(4, 9, 5, 1),
 	}}
 	searchEnv = Envelope{From: 3, To: 11, Proto: &protocol.Message{
 		Kind: protocol.MsgSearch, From: 3, To: 11,
@@ -30,7 +43,7 @@ var (
 // decodeOne decodes the single frame in b and requires the stream to end
 // there.
 func decodeOne(b []byte) (Envelope, error) {
-	fr := newFrameReader(bytes.NewReader(b))
+	fr := newFrameReader(bytes.NewReader(b), newVectors(testRing))
 	var e Envelope
 	if err := fr.next(&e); err != nil {
 		return e, err
@@ -56,7 +69,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fr := newFrameReader(bytes.NewReader(stream))
+	fr := newFrameReader(bytes.NewReader(stream), newVectors(testRing))
 	for i, want := range envs {
 		var got Envelope
 		if err := fr.next(&got); err != nil {
@@ -104,13 +117,15 @@ func fillDistinct(t *testing.T, v reflect.Value, next *int) {
 }
 
 // TestFrameCodecCoversEveryField round-trips envelopes in which every field
-// of Envelope, protocol.Message, protocol.ServedRec and AppData holds a
-// distinct non-zero value: a field added to any of them without being
-// encoded comes back zero and fails the comparison.
+// of Envelope, protocol.Message and AppData holds a distinct non-zero value:
+// a field added to any of them without being encoded comes back zero and
+// fails the comparison. The Served vector is filled out to the ring, as the
+// decoder sizes it.
 func TestFrameCodecCoversEveryField(t *testing.T) {
 	var full Envelope
 	n := 0
 	fillDistinct(t, reflect.ValueOf(&full).Elem(), &n)
+	full.Proto.Served = append(full.Proto.Served, make([]uint64, testRing-len(full.Proto.Served))...)
 	proto, app := full, full
 	proto.App, app.Proto = nil, nil
 	for _, want := range []Envelope{proto, app} {
@@ -174,7 +189,7 @@ func TestFrameGoldenBytes(t *testing.T) {
 func TestFrameRejectsOversize(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	fr := newFrameReader(bytes.NewReader(hdr[:]))
+	fr := newFrameReader(bytes.NewReader(hdr[:]), newVectors(testRing))
 	if err := fr.next(new(Envelope)); err != ErrFrameTooLarge {
 		t.Fatalf("got %v, want ErrFrameTooLarge", err)
 	}
@@ -202,7 +217,7 @@ func TestFrameTruncated(t *testing.T) {
 		}
 		// Cut the stream short.
 		for cut := 1; cut < len(full); cut++ {
-			fr := newFrameReader(bytes.NewReader(full[:cut]))
+			fr := newFrameReader(bytes.NewReader(full[:cut]), newVectors(testRing))
 			if err := fr.next(new(Envelope)); err == nil {
 				t.Fatalf("truncation at %d bytes decoded successfully", cut)
 			}
@@ -217,39 +232,69 @@ func TestFrameTruncated(t *testing.T) {
 	}
 }
 
-// TestFrameRejectsMalformed feeds the reader one well-framed payload per
-// rejection rule.
-func TestFrameRejectsMalformed(t *testing.T) {
+// Offsets of three fields in tokenEnv's payload.
+const flagsAt, attachAt, servedAt = 13, 16, 22
+
+// malformedPayloads are well-framed payloads that each break one rejection
+// rule, all but the first few by one byte of tokenEnv's payload.
+func malformedPayloads(tb testing.TB) []struct {
+	name    string
+	payload []byte
+} {
+	tb.Helper()
 	token, _ := appendFrame(nil, tokenEnv)
 	token = token[4:]
-	const flagsAt, attachAt, servedAt = 13, 16, 22 // offsets into the token payload
+	if token[flagsAt] != 0 || token[attachAt] != 5 || token[servedAt] != 2 {
+		tb.Fatalf("token payload layout moved: % x", token)
+	}
 	mutate := func(at int, b byte) []byte {
 		p := append([]byte(nil), token...)
 		p[at] = b
 		return p
 	}
-	if token[flagsAt] != 0 || token[attachAt] != 5 || token[servedAt] != 2 {
-		t.Fatalf("token payload layout moved: % x", token)
+	// A record of testRing+1 pairs, each well formed up to its last.
+	wide := append([]byte(nil), token[:servedAt]...)
+	wide = append(wide, testRing+1)
+	for j := 0; j <= testRing; j++ {
+		wide = append(wide, byte(2*j), 1)
 	}
 	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0x02) // an 11-byte varint
-	for _, c := range []struct {
+	return []struct {
 		name    string
 		payload []byte
 	}{
 		{"empty payload", nil},
+		{"old JSON frame", []byte(`{"from":0,"to":1,"proto":{"Kind":1,"From":0,"To":1}}`)},
+		{"varint longer than 64 bits", append([]byte{tagProto}, overlong...)},
+		{"served count beyond the ring", wide},
 		{"unknown tag", mutate(0, 3)},
 		{"zero tag", mutate(0, 0)},
-		{"old JSON frame", []byte(`{"from":0,"to":1,"proto":{"Kind":1,"From":0,"To":1}}`)},
 		{"undefined flag bit", mutate(flagsAt, 0x04)},
 		{"all flag bits", mutate(flagsAt, 0xff)},
 		{"string length beyond the frame", mutate(attachAt, 12)},
 		{"served count beyond the frame", mutate(servedAt, 3)},
+		{"served requester past the ring", mutate(servedAt+1, 2*testRing)},
+		{"served requester negative", mutate(servedAt+1, 0x01)},
+		{"served requester repeated", mutate(servedAt+3, 0x08)},
+		{"served requesters descending", mutate(servedAt+3, 0x06)},
+		{"served seq zero", mutate(servedAt+2, 0)},
 		{"trailing byte", append(append([]byte(nil), token...), 0)},
-		{"varint longer than 64 bits", append([]byte{tagProto}, overlong...)},
-	} {
+	}
+}
+
+// TestFrameRejectsMalformed feeds the reader one well-framed payload per
+// rejection rule.
+func TestFrameRejectsMalformed(t *testing.T) {
+	for _, c := range malformedPayloads(t) {
 		if e, err := decodeOne(frameOf(c.payload)); err == nil {
 			t.Errorf("%s: decoded to %+v", c.name, e)
 		}
+	}
+	token, _ := appendFrame(nil, tokenEnv)
+	mutate := func(at int, b byte) []byte {
+		p := append([]byte(nil), token[4:]...)
+		p[at] = b
+		return p
 	}
 	// The defined flag bits do decode.
 	e, err := decodeOne(frameOf(mutate(flagsAt, flagsDefined)))
@@ -260,8 +305,8 @@ func TestFrameRejectsMalformed(t *testing.T) {
 
 // TestFrameCodecAllocs pins the codec's allocation budget: encoding into a
 // warm buffer allocates nothing; decoding allocates only what the envelope
-// keeps, and a Message box not even that once the previous one has gone
-// back through FreeProto. Under -race, sync.Pool drops a quarter of its Puts
+// keeps, a Message box not even that once the previous one has gone back
+// through FreeProto, and a Served vector not once the endpoint has sent one. Under -race, sync.Pool drops a quarter of its Puts
 // at random, about 0.25 fresh boxes a decode, which AllocsPerRun's integer
 // mean still reads as 0.
 func TestFrameCodecAllocs(t *testing.T) {
@@ -279,7 +324,7 @@ func TestFrameCodecAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"search", searchEnv, 0},
-		{"token", tokenEnv, 2}, // Attach, Served
+		{"token", tokenEnv, 1}, // Attach
 		{"app", appEnv, 3},     // the AppData, Kind, Payload
 		{"bare app", Envelope{App: &AppData{}}, 1},
 	} {
@@ -288,7 +333,7 @@ func TestFrameCodecAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := bytes.NewReader(frame)
-		fr := newFrameReader(src)
+		fr := newFrameReader(src, newVectors(testRing))
 		var e Envelope
 		if n := testing.AllocsPerRun(100, func() {
 			src.Reset(frame)
@@ -296,6 +341,7 @@ func TestFrameCodecAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			if e.Proto != nil {
+				fr.vs.put(e.Proto.Served) // as Send does once it has encoded it
 				FreeProto(e.Proto)
 			}
 		}); n > c.max {
@@ -307,8 +353,9 @@ func TestFrameCodecAllocs(t *testing.T) {
 // FuzzFrameCodec round-trips arbitrary envelope content through the frame
 // codec and feeds arbitrary bytes to the reader. The codec is exact: every
 // envelope decodes back identical, invalid UTF-8 included. No input may
-// crash the decoder, and nothing it decodes may be larger than the bytes
-// it was decoded from.
+// crash the decoder, nothing it decodes may be larger than the bytes it was
+// decoded from, and a Served vector is the ring's length whatever the frame
+// says. The seeds after the first six are the malformed payloads.
 func FuzzFrameCodec(f *testing.F) {
 	f.Add(int64(0), int64(1), int64(3), "payload", true, []byte{})
 	f.Add(int64(2), int64(0), int64(9), "", false, []byte{0, 0, 0, 2, '{', '}'})
@@ -316,6 +363,9 @@ func FuzzFrameCodec(f *testing.F) {
 	for _, e := range []Envelope{tokenEnv, searchEnv, appEnv} {
 		frame, _ := appendFrame(nil, e)
 		f.Add(int64(-1), int64(1<<40), int64(5), "\xc3\x28", false, frame)
+	}
+	for _, c := range malformedPayloads(f) {
+		f.Add(int64(0), int64(1), int64(1), "", false, frameOf(c.payload))
 	}
 	f.Fuzz(func(t *testing.T, from, to, num int64, payload string, app bool, raw []byte) {
 		e := Envelope{From: int(from), To: int(to)}
@@ -330,7 +380,10 @@ func FuzzFrameCodec(f *testing.F) {
 				Hops: int(num & 0xff), Epoch: uint64(-num), Attach: payload,
 			}
 			for i := 0; i+1 < len(raw) && i < 8; i += 2 {
-				m.Served = append(m.Served, protocol.ServedRec{Requester: int(int8(raw[i])), ReqSeq: uint64(raw[i+1]) << 7})
+				if m.Served == nil {
+					m.Served = make([]uint64, testRing)
+				}
+				m.Served[int(raw[i])%testRing] = uint64(raw[i+1])<<7 | 1
 			}
 			e.Proto = m
 		}
@@ -353,7 +406,7 @@ func FuzzFrameCodec(f *testing.F) {
 		// Arbitrary bytes: the reader must error or decode, never panic,
 		// never size anything beyond the bytes it was given, and whatever
 		// it accepts must itself round-trip exactly.
-		fr := newFrameReader(bytes.NewReader(raw))
+		fr := newFrameReader(bytes.NewReader(raw), newVectors(testRing))
 		for {
 			var in Envelope
 			if err := fr.next(&in); err != nil {
@@ -364,7 +417,16 @@ func FuzzFrameCodec(f *testing.F) {
 			}
 			size := 0
 			if in.Proto != nil {
-				size = len(in.Proto.Attach) + minServedRec*len(in.Proto.Served)
+				if s := in.Proto.Served; s != nil && len(s) != testRing {
+					t.Fatalf("decoded a %d-entry record on a ring of %d", len(s), testRing)
+				}
+				k := 0
+				for _, seq := range in.Proto.Served {
+					if seq != 0 {
+						k++
+					}
+				}
+				size = len(in.Proto.Attach) + minServedPair*k
 			} else {
 				size = len(in.App.Kind) + len(in.App.Payload)
 			}
@@ -387,9 +449,9 @@ func FuzzFrameCodec(f *testing.F) {
 func benchToken() Envelope {
 	e := tokenEnv
 	m := *e.Proto
-	m.Served = make([]protocol.ServedRec, 16)
+	m.Served = make([]uint64, testRing)
 	for i := range m.Served {
-		m.Served[i] = protocol.ServedRec{Requester: i, ReqSeq: uint64(1000 + i)}
+		m.Served[i] = uint64(1000 + i)
 	}
 	e.Proto = &m
 	return e
@@ -422,7 +484,7 @@ func BenchmarkFrameDecode(b *testing.B) {
 				b.Fatal(err)
 			}
 			src := bytes.NewReader(frame)
-			fr := newFrameReader(src)
+			fr := newFrameReader(src, newVectors(testRing))
 			var e Envelope
 			b.SetBytes(int64(len(frame)))
 			b.ReportAllocs()

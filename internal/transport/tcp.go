@@ -138,6 +138,7 @@ type TCP struct {
 	ctx    context.Context // canceled on Close: aborts in-flight dials
 	cancel context.CancelFunc
 	mbox   *mailbox
+	vecs   *vectors // Served vectors Send has encoded, for readers to refill
 	wg     sync.WaitGroup
 
 	enqueued      atomic.Int64
@@ -221,6 +222,7 @@ func NewTCP(id int, addrs []string, opts ...Options) (*TCP, error) {
 		ctx:     ctx,
 		cancel:  cancel,
 		mbox:    newMailbox(),
+		vecs:    newVectors(len(addrs)),
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -282,7 +284,8 @@ func (t *TCP) Stats() Stats {
 
 // Send implements Endpoint. An envelope to a remote peer is encoded into
 // the peer's outbound lane before Send returns, so the transport keeps
-// nothing of it, and written asynchronously by the lane's writer goroutine;
+// nothing of it but the Served vector, which it refills for a token it reads,
+// and the frame is written asynchronously by the lane's writer goroutine;
 // Send never performs network I/O itself. A self-send puts a pooled copy of
 // the box in the inbox. A lane holding QueueLen frames applies the
 // backpressure policy: under PolicyDrop, cheap protocol messages are dropped
@@ -335,6 +338,9 @@ func (t *TCP) Send(e Envelope) error {
 	p.pending = b
 	p.frames++
 	p.mu.Unlock()
+	if e.Proto != nil {
+		t.vecs.put(e.Proto.Served)
+	}
 	select {
 	case p.wake <- struct{}{}:
 	default:
@@ -505,7 +511,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	fr := newFrameReader(conn)
+	fr := newFrameReader(conn, t.vecs)
 	var e Envelope
 	for {
 		if err := fr.next(&e); err != nil {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -135,7 +136,7 @@ func TestTCPLinkFootprintAfterLargeFrame(t *testing.T) {
 // TestSendKeepsNoBox pins the box contract on every send path: Send keeps
 // no box it is given, so the sender may overwrite and free its box at once,
 // and the receiver reads what was sent — Served and Attach included — from
-// a box of its own. Over TCP, application payloads are checked the same
+// a box of its own; the Served vector went with the message. Over TCP, application payloads are checked the same
 // way. In process the copy is taken while the sender still holds its box,
 // so the two can never be one; a box decoded off a socket may be the
 // sender's freed box back from the pool, which is no sharing.
@@ -163,13 +164,13 @@ func TestSendKeepsNoBox(t *testing.T) {
 			for i := 0; i < sends; i++ {
 				m := NewProto()
 				*m = protocol.Message{Kind: protocol.MsgToken, To: to, Round: uint64(i), Attach: "sent",
-					Served: []protocol.ServedRec{{Requester: 1, ReqSeq: uint64(i)}}}
+					Served: []uint64{0, uint64(i) + 1}}
 				sent[i] = m
 				if err := c.from.Send(Envelope{To: to, Proto: m}); err != nil {
 					t.Fatal(err)
 				}
 				*m = protocol.Message{Kind: protocol.MsgSearch, Round: 1 << 40, Attach: "overwritten",
-					Served: []protocol.ServedRec{{Requester: 2, ReqSeq: 1 << 40}}}
+					Served: []uint64{1 << 40}}
 				FreeProto(m)
 				if !c.remote {
 					continue
@@ -191,7 +192,7 @@ func TestSendKeepsNoBox(t *testing.T) {
 					want, isApp := uint64(i/perSend), i%perSend == 1
 					if p := e.Proto; p != nil {
 						if isApp || p.Kind != protocol.MsgToken || p.Round != want || p.Attach != "sent" ||
-							len(p.Served) != 1 || p.Served[0] != (protocol.ServedRec{Requester: 1, ReqSeq: want}) {
+							!slices.Equal(p.Served, []uint64{0, want + 1}) {
 							t.Fatalf("frame %d: got %+v, want token round %d", i, *p, want)
 						}
 						if !c.remote && p == sent[want] {

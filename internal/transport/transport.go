@@ -56,8 +56,8 @@ var protoPool = sync.Pool{New: func() any { return new(protocol.Message) }}
 // recycled through FreeProto where possible.
 func NewProto() *protocol.Message { return protoPool.Get().(*protocol.Message) }
 
-// FreeProto zeroes m — so a pooled box keeps no Served or Attach data
-// alive — and hands it back for NewProto to reuse. Only the owner of m may
+// FreeProto zeroes m — so a pooled box keeps no Served vector or Attach
+// string alive — and hands it back for NewProto to reuse. Only the owner of m may
 // free it, once, and nothing may read m afterwards (see Endpoint).
 func FreeProto(m *protocol.Message) {
 	*m = protocol.Message{}
@@ -82,7 +82,10 @@ type Endpoint interface {
 	ID() int
 	// Send transmits an envelope; e.To selects the destination. It never
 	// keeps the caller's Proto box nor passes it on, so once Send returns
-	// the caller may overwrite, resend or free that box.
+	// the caller may overwrite, resend or free that box. The box's Served
+	// vector is the token's and goes with it: once Send returns the caller
+	// must not read or write it (a TCP endpoint refills it for a token it
+	// reads), so a message sent twice needs a clone of it.
 	Send(e Envelope) error
 	// Recv returns the channel of incoming envelopes. It is closed when
 	// the endpoint closes. Each envelope's Proto box came from NewProto

@@ -28,13 +28,13 @@ func TestEnvelopeValidate(t *testing.T) {
 	}
 }
 
-// TestFreeProtoZeroes: a freed box keeps no reference into the Served
-// backing or the Attach string it carried. Only this test reads a box
+// TestFreeProtoZeroes: a freed box keeps no reference to the Served
+// vector or the Attach string it carried. Only this test reads a box
 // after its free.
 func TestFreeProtoZeroes(t *testing.T) {
 	m := NewProto()
 	*m = protocol.Message{Kind: protocol.MsgToken, To: 3, Attach: "seq=7",
-		Served: []protocol.ServedRec{{Requester: 1, ReqSeq: 2}}}
+		Served: []uint64{0, 2}}
 	FreeProto(m)
 	if !reflect.DeepEqual(*m, protocol.Message{}) {
 		t.Fatalf("freed box still holds %+v", *m)
