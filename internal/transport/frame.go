@@ -67,14 +67,14 @@ const minServedPair = 2
 // the message carrying the token, so once Send has encoded a token its vector
 // is free: Send keeps it here, and the decoder refills it for the next token
 // the endpoint reads. A ring hands every node the token as often as it takes
-// it, so an endpoint holds about one.
+// it, so an endpoint keeps one.
 type vectors struct {
 	ring int
 	free chan []uint64
 }
 
 func newVectors(ring int) *vectors {
-	return &vectors{ring: ring, free: make(chan []uint64, 2)}
+	return &vectors{ring: ring, free: make(chan []uint64, 1)}
 }
 
 // put keeps v for reuse if it is ring entries long and there is room.
