@@ -32,9 +32,9 @@
 // rule.
 //
 // Supported configurations: RingToken, LinearSearch and BinarySearch with
-// GCNone, unbounded traps and no recovery — the protocols the paper's
-// Figures 5–7 model. Other variants and refinements have no spec system to
-// check against; New rejects them.
+// GCNone and no recovery — the protocols the paper's Figures 5–7 model.
+// Other variants and refinements have no spec system to check against; New
+// rejects them.
 package conformance
 
 import (

@@ -29,9 +29,10 @@ import (
 // struct order. Unsigned fields are uvarints, signed ones zig-zag varints,
 // the two booleans share one flags byte, strings are a uvarint length plus
 // raw bytes, and Served is a uvarint count plus the (requester, seq) pairs of
-// its non-zero entries in requester order: a zig-zag varint and a uvarint
-// each. All members of a ring run one build: there is no version negotiation, and
-// a peer speaking another format is cut off at its first frame.
+// its non-zero entries in requester order, a zig-zag varint and a uvarint
+// each. All members of a ring run one build: there is no version
+// negotiation, and a peer speaking another format is cut off at its first
+// frame.
 
 // MaxFrame bounds one frame's payload. Envelopes are small (a protocol
 // message or an application payload); anything near the bound is a corrupt
