@@ -1,20 +1,30 @@
 package torture
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
 
 // A bounded sweep across every variant and safe mix finds no safety,
-// liveness or conformance violation. The full-width sweep (≥100 scenarios)
-// runs via `make torture`; this smoke keeps the same coverage shape at unit
-// cost.
+// liveness or conformance violation, and logs exactly the lines of
+// testdata/sweep.golden (seeds 1–2; -short checks the seed-1 lines): a
+// simulated line's grants and checked steps follow from its seed alone, so
+// a change that moves one has changed what the run did. The full-width
+// sweep (≥100 scenarios) runs via `make torture`; this smoke keeps the same
+// coverage shape at unit cost.
 func TestSweepSafeMixesClean(t *testing.T) {
 	seeds := 2
 	if testing.Short() {
 		seeds = 1
 	}
-	res, err := Sweep(SweepConfig{Seeds: seeds, Requests: 10}, t.Logf)
+	var got []string
+	res, err := Sweep(SweepConfig{Seeds: seeds, Requests: 10}, func(format string, a ...any) {
+		line := fmt.Sprintf(format, a...)
+		t.Log(line)
+		got = append(got, line)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,6 +34,25 @@ func TestSweepSafeMixesClean(t *testing.T) {
 	}
 	for _, f := range res.Failures {
 		t.Errorf("%s/%s seed=%d: %s", f.Scenario.Variant, f.Scenario.Mix, f.Scenario.Seed, f.Err)
+	}
+
+	buf, err := os.ReadFile("testdata/sweep.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []string
+	for _, line := range strings.Split(strings.TrimSuffix(string(buf), "\n"), "\n") {
+		if seeds == 2 || strings.Contains(line, " seed=1 ") {
+			golden = append(golden, line)
+		}
+	}
+	if len(got) != len(golden) {
+		t.Fatalf("sweep logged %d lines, testdata/sweep.golden has %d", len(got), len(golden))
+	}
+	for i := range got {
+		if got[i] != golden[i] {
+			t.Errorf("sweep line %d moved:\n got  %s\n want %s", i+1, got[i], golden[i])
+		}
 	}
 }
 
