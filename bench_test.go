@@ -67,7 +67,8 @@ func BenchmarkExperiment(b *testing.B) {
 // BenchmarkSimulatedGrant measures end-to-end simulated cost per grant in
 // the BinarySearch protocol under moderate load, at n=128 and on the
 // benchmark's sim-big ring (n=10⁶, 20,000 requests a ring — the working set
-// is far beyond cache and the satisfaction record sits at its 512-entry cap).
+// is far beyond cache and the token's satisfaction vector holds one entry a
+// node, 8 MB).
 // Rings are built with the timer stopped; `make profile-sim-big` profiles the
 // big ring.
 func BenchmarkSimulatedGrant(b *testing.B) {

@@ -80,21 +80,12 @@ type ChurnChecker struct {
 // checker its stable-epoch probe.
 func NewChurn(cfg protocol.Config, members []int) (*ChurnChecker, error) {
 	if members == nil {
-		members = make([]int, cfg.N)
-		for i := range members {
-			members[i] = i
-		}
-	}
-	pin := spec.Pin{
-		N:        len(members),
-		Holder:   0, // node 0 is members[0] (ascending, must contain 0)
-		NodeCirc: make([]int, len(members)),
-		Ready:    make([]bool, len(members)),
+		members = identity(cfg.N)
 	}
 	if len(members) == 0 || members[0] != 0 {
 		return nil, fmt.Errorf("conformance: churn members %v must start at node 0 (the bootstrap holder)", members)
 	}
-	inner, err := NewPinned(cfg, members, 0, pin)
+	inner, err := NewPinned(cfg, members, 0, bootstrapPin(len(members)))
 	if err != nil {
 		return nil, err
 	}

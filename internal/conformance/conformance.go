@@ -100,56 +100,32 @@ func (c *Checker) circ(v uint64) int {
 	return int(v - c.base)
 }
 
-// New builds a checker for cfg, rejecting configurations that have no spec
-// system to check against.
+// New builds a checker for cfg that starts from the bootstrap state over the
+// full ring, rejecting configurations that have no spec system to check
+// against.
 func New(cfg protocol.Config) (*Checker, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("conformance: need at least 2 nodes, got %d", cfg.N)
-	}
-	p := spec.Params{N: cfg.N, MaxBroadcasts: unbounded, MaxPending: unbounded, MaxPasses: unbounded}
-	var sys trs.System
-	switch cfg.Variant {
-	case protocol.RingToken, protocol.LinearSearch:
-		sys = spec.NewSystemSearchLossy(p, spec.CheckerBounds())
-	case protocol.BinarySearch:
-		sys = spec.NewSystemBinarySearchLossy(p, spec.CheckerBounds())
-	default:
-		return nil, fmt.Errorf("conformance: variant %s has no spec system", cfg.Variant)
-	}
-	if cfg.TrapGC != protocol.GCNone {
-		return nil, fmt.Errorf("conformance: trap GC %s is a refinement the spec systems do not model", cfg.TrapGC)
-	}
 	if cfg.RecoveryTimeout != 0 {
 		return nil, fmt.Errorf("conformance: §5 recovery regenerates tokens outside the Figure 5–7 systems")
 	}
-	init, ok := sys.Init.(trs.Tuple)
-	if !ok {
-		return nil, fmt.Errorf("conformance: malformed spec init state %v", sys.Init)
+	members := identity(cfg.N)
+	return NewPinned(cfg, members, 0, bootstrapPin(len(members)))
+}
+
+// identity lists the ring positions 0..n-1: the full-ring view.
+func identity(n int) []int {
+	var out []int
+	for i := 0; i < n; i++ {
+		out = append(out, i)
 	}
-	label := init.Label()
-	ids := make([]int, cfg.N)
-	pos := make([]int, cfg.N)
-	for i := range ids {
-		ids[i], pos[i] = i, i
-	}
-	return &Checker{
-		cfg:      cfg,
-		sys:      sys,
-		label:    label,
-		state:    sys.Init,
-		ids:      ids,
-		pos:      pos,
-		inflight: make(map[spec.MsgShape]int),
-		pinned:   make(map[int]spec.MsgShape),
-		invs: []trs.Invariant{
-			spec.ChainInvariant(label),
-			spec.TokenUniquenessInvariant(label),
-			spec.QCompleteInvariant(label, cfg.N),
-		},
-	}, nil
+	return out
+}
+
+// bootstrapPin is the stable epoch every run starts in, over a view of n
+// members: position 0 (node 0) holds the bootstrap token, every
+// circulation count is zero, nothing is ready and no trap is set. It is
+// the spec systems' own initial state (TestBootstrapPinIsSpecInit).
+func bootstrapPin(n int) spec.Pin {
+	return spec.Pin{N: n, NodeCirc: make([]int, n), Ready: make([]bool, n)}
 }
 
 // NewPinned builds a checker whose ghost state starts mid-execution from a

@@ -8,6 +8,8 @@ import (
 	"adaptivetoken/internal/faults"
 	"adaptivetoken/internal/host"
 	"adaptivetoken/internal/protocol"
+	"adaptivetoken/internal/spec"
+	"adaptivetoken/internal/trs"
 	"adaptivetoken/internal/workload"
 )
 
@@ -139,6 +141,30 @@ func TestUnsupportedConfigsRejected(t *testing.T) {
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
+		}
+	}
+}
+
+// Every checker starts from bootstrapPin rather than from a spec system's
+// Init, so the two must be one term: node 0 holding the token, every count
+// zero, nothing ready and no trap set, over rings of 2 to 5 nodes.
+func TestBootstrapPinIsSpecInit(t *testing.T) {
+	for n := 2; n <= 5; n++ {
+		p := spec.Params{N: n, MaxBroadcasts: unbounded, MaxPending: unbounded, MaxPasses: unbounded}
+		for _, tc := range []struct {
+			sys    trs.System
+			pinned func(spec.Pin) (trs.Term, error)
+		}{
+			{spec.NewSystemSearchLossy(p, spec.CheckerBounds()), spec.PinnedSearchInit},
+			{spec.NewSystemBinarySearchLossy(p, spec.CheckerBounds()), spec.PinnedBinarySearchInit},
+		} {
+			got, err := tc.pinned(bootstrapPin(n))
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", tc.sys.Name, n, err)
+			}
+			if !trs.Equal(tc.sys.Init, got) {
+				t.Errorf("%s n=%d: pinned bootstrap %v, spec init %v", tc.sys.Name, n, got, tc.sys.Init)
+			}
 		}
 	}
 }

@@ -253,7 +253,7 @@ func (c *Cluster) msgCounts() []metrics.KindCount {
 
 // Tracer returns the telemetry tracer backing the observability endpoint
 // (nil without WithMetricsAddr). Use it to export a timeline of the live
-// run (WriteChromeTrace, WriteJSONL).
+// run (WriteChromeTrace).
 func (c *Cluster) Tracer() *telemetry.Tracer { return c.tracer }
 
 // MetricsAddr returns the observability endpoint's actual listen address

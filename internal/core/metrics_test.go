@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"adaptivetoken/internal/metrics"
+	"adaptivetoken/internal/telemetry"
 )
 
 func scrape(t *testing.T, url string) (int, string) {
@@ -88,12 +89,14 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	if c.Tracer() == nil {
 		t.Fatal("nil tracer with metrics enabled")
 	}
-	var sb strings.Builder
-	if err := c.Tracer().WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `"kind":"grant"`) {
-		t.Error("trace JSONL missing grant records")
+	grants := 0
+	c.Tracer().Records(func(r telemetry.Record) {
+		if r.Kind == telemetry.RecGrant {
+			grants++
+		}
+	})
+	if grants == 0 {
+		t.Error("tracer holds no grant records")
 	}
 }
 

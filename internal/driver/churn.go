@@ -1,15 +1,16 @@
 package driver
 
 // The churn engine: driver-level membership events — Join, Leave, Crash —
-// that rewire the ring through membership.Tracker with epoch-stamped views
-// (the paper's §5 sketch made executable). Churn events are time-keyed and
+// that rewire the ring with epoch-stamped views (the paper's §5 sketch
+// made executable). The view is the member bitset plus an epoch counter
+// that every committed change bumps. Churn events are time-keyed and
 // carried on faults.Plan/Schedule exactly like pause windows, so recorded
 // schedules replay verbatim and ddmin-shrink cleanly.
 //
 // Semantics:
 //
-//   - Join commits at its scheduled time: the tracker bumps the view epoch,
-//     the joiner receives a state-transfer stamp (the freshest circulation
+//   - Join commits at its scheduled time: the view epoch is bumped, the
+//     joiner receives a state-transfer stamp (the freshest circulation
 //     stamp and token epoch among current members, so its ⊂_C comparisons
 //     start from the cluster's present), and every member applies the new
 //     view as an observable StepView step, in ascending id order.
@@ -33,12 +34,10 @@ package driver
 
 import (
 	"fmt"
-	"sort"
 
 	"adaptivetoken/internal/bitset"
 	"adaptivetoken/internal/faults"
 	"adaptivetoken/internal/host"
-	"adaptivetoken/internal/membership"
 	"adaptivetoken/internal/protocol"
 	"adaptivetoken/internal/sim"
 )
@@ -46,8 +45,8 @@ import (
 // churnState is the driver's membership bookkeeping, allocated only when a
 // run uses churn (initial members, churn events, or Crash).
 type churnState struct {
-	tracker *membership.Tracker
-	member  bitset.Set // current view, mirrored for O(1) gating
+	member    bitset.Set // the current view
+	viewEpoch uint64     // bumped by every committed join, leave and crash
 
 	// wantLeave marks graceful leaves awaiting a safe point; its popcount
 	// is the pending-leave count.
@@ -70,41 +69,46 @@ func (r *Runner) enableChurn(initial []int) error {
 	if r.churn != nil {
 		return nil
 	}
-	if initial == nil {
-		initial = make([]int, r.cfg.N)
-		for i := range initial {
-			initial[i] = i
-		}
-	}
-	view := membership.NewView(0, initial)
-	if !view.Contains(0) {
-		return fmt.Errorf("driver: initial members %v must include node 0 (the bootstrap holder)", initial)
-	}
-	for _, m := range view.Members {
-		if m < 0 || m >= r.cfg.N {
-			return fmt.Errorf("driver: initial member %d outside ring of %d", m, r.cfg.N)
-		}
-	}
 	ch := &churnState{
-		tracker:   membership.NewTracker(view),
 		member:    bitset.New(r.cfg.N),
 		wantLeave: bitset.New(r.cfg.N),
 		tokenTo:   make([]int, r.cfg.N),
 		inflight:  r.census.inFlight,
 	}
-	for _, m := range view.Members {
+	if initial == nil {
+		for i := 0; i < r.cfg.N; i++ {
+			ch.member.Set(i)
+		}
+	}
+	for _, m := range initial {
+		if m < 0 || m >= r.cfg.N {
+			return fmt.Errorf("driver: initial member %d outside ring of %d", m, r.cfg.N)
+		}
 		ch.member.Set(m)
+	}
+	if !ch.member.Get(0) {
+		return fmt.Errorf("driver: initial members %v must include node 0 (the bootstrap holder)", initial)
 	}
 	r.churn = ch
 	// Give the members their initial view directly (no steps: the engine
 	// has not started; observers learn membership from churn events and
 	// snapshots).
-	if len(view.Members) < r.cfg.N {
-		for _, m := range view.Members {
-			r.nodes[m].ApplyView(0, protocol.ViewUpdate{Epoch: view.Epoch, Members: view.Members})
+	if ch.member.Count() < r.cfg.N {
+		u := protocol.ViewUpdate{Members: ch.members()}
+		for _, m := range u.Members {
+			r.nodes[m].ApplyView(0, u)
 		}
 	}
 	return nil
+}
+
+// members returns the current view's members, ascending.
+func (ch *churnState) members() []int {
+	out := make([]int, 0, ch.member.Count())
+	for i := ch.member.Next(0); i >= 0; i = ch.member.Next(i + 1) {
+		out = append(out, i)
+	}
+	return out
 }
 
 // scheduleChurn installs the injector's churn events on the engine.
@@ -187,7 +191,7 @@ func (r *Runner) commitJoin(id int) {
 		}
 	}
 	ch.member.Set(id)
-	ch.tracker.Apply(membership.Change{Kind: membership.Join, Node: id})
+	ch.viewEpoch++
 	r.host.EmitFault(host.FaultEvent{At: r.eng.Now(), Kind: host.FaultJoin, Node: id})
 	r.propagateView(id, syncStamp, syncEpoch)
 }
@@ -229,7 +233,7 @@ func (r *Runner) commitCrash(id int) {
 		return
 	}
 	ch.member.Clear(id)
-	ch.tracker.Apply(membership.Change{Kind: membership.Leave, Node: id})
+	ch.viewEpoch++
 	r.host.EmitFault(host.FaultEvent{At: r.eng.Now(), Kind: host.FaultCrash, Node: id})
 	r.propagateView(protocol.None, 0, 0)
 }
@@ -264,25 +268,25 @@ func (r *Runner) tryLeaves() {
 		}
 		ch.wantLeave.Clear(id)
 		ch.member.Clear(id)
-		ch.tracker.Apply(membership.Change{Kind: membership.Leave, Node: id})
+		ch.viewEpoch++
 		r.host.EmitFault(host.FaultEvent{At: r.eng.Now(), Kind: host.FaultLeave, Node: id})
 		r.propagateView(protocol.None, 0, 0)
 	}
 }
 
-// propagateView applies the tracker's current view to every live member as
-// an observable StepView step, in ascending id order. The joiner (if any)
+// propagateView applies the current view to every live member as an
+// observable StepView step, in ascending id order. The joiner (if any)
 // additionally receives the state-transfer stamps.
 func (r *Runner) propagateView(joiner int, syncStamp, syncEpoch uint64) {
 	ch := r.churn
 	ch.committing = true
-	v := ch.tracker.View()
+	members := ch.members()
 	now := r.eng.Now()
-	for i := 0; i < r.cfg.N; i++ {
-		if !ch.member.Get(i) || r.dead.Get(i) {
+	for _, i := range members {
+		if r.dead.Get(i) {
 			continue
 		}
-		u := protocol.ViewUpdate{Epoch: v.Epoch, Members: v.Members}
+		u := protocol.ViewUpdate{Epoch: ch.viewEpoch, Members: members}
 		if i == joiner {
 			u.SyncStamp = syncStamp
 			u.SyncEpoch = syncEpoch
@@ -311,8 +315,7 @@ func (r *Runner) Members() []int {
 		}
 		return all
 	}
-	v := r.churn.tracker.View()
-	return append([]int(nil), v.Members...)
+	return r.churn.members()
 }
 
 // ChurnNodeState is one node's protocol state in a ChurnSnapshot.
@@ -347,30 +350,34 @@ func (r *Runner) ChurnSnapshot() ChurnSnapshot {
 	if ch == nil {
 		return ChurnSnapshot{}
 	}
-	v := ch.tracker.View()
 	s := ChurnSnapshot{
-		ViewEpoch: v.Epoch,
-		Members:   append([]int(nil), v.Members...),
+		ViewEpoch: ch.viewEpoch,
+		Members:   ch.members(),
 		InFlight:  ch.inflight,
 		HeldWork:  r.heldWork(),
 		Nodes:     make([]ChurnNodeState, r.cfg.N),
 	}
-	sort.Ints(s.Members)
-	for i := 0; i < r.cfg.N; i++ {
-		n := &r.nodes[i]
-		s.Nodes[i] = ChurnNodeState{
-			Member:     ch.member.Get(i),
-			Dead:       r.dead.Get(i),
-			HasToken:   n.HasToken(),
-			InCS:       n.InCS(),
-			Pending:    n.Pending(),
-			Decorated:  n.DecoratedHold(),
-			Recovering: n.RecoveryActive(),
-			Round:      n.Round(),
-			LastSeen:   n.LastSeen(),
-			Epoch:      n.Epoch(),
-			Traps:      n.TrapRequesters(nil),
-		}
+	for i := range s.Nodes {
+		s.Nodes[i] = NodeState(&r.nodes[i])
+		s.Nodes[i].Member = ch.member.Get(i)
+		s.Nodes[i].Dead = r.dead.Get(i)
 	}
 	return s
+}
+
+// NodeState reads n's protocol state into a snapshot entry; Member and
+// Dead are the host's to fill. The simulated and the live harness both
+// build their snapshots through it.
+func NodeState(n *protocol.Node) ChurnNodeState {
+	return ChurnNodeState{
+		HasToken:   n.HasToken(),
+		InCS:       n.InCS(),
+		Pending:    n.Pending(),
+		Decorated:  n.DecoratedHold(),
+		Recovering: n.RecoveryActive(),
+		Round:      n.Round(),
+		LastSeen:   n.LastSeen(),
+		Epoch:      n.Epoch(),
+		Traps:      n.TrapRequesters(nil),
+	}
 }

@@ -1,11 +1,13 @@
 package driver
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"adaptivetoken/internal/host"
 	"adaptivetoken/internal/protocol"
+	"adaptivetoken/internal/sim"
 )
 
 // A cluster started with a partial view admits a joiner mid-run: the view
@@ -385,5 +387,35 @@ func TestChurnSnapshot(t *testing.T) {
 	}
 	if holders+s.InFlight != 1 {
 		t.Fatalf("snapshot token census = %d holders + %d in flight", holders, s.InFlight)
+	}
+}
+
+// The view is the member set plus an epoch that counts committed changes:
+// an initial list is taken as a set, and a join of a member, a leave or
+// crash of a non-member commits nothing and leaves the epoch alone.
+func TestViewEpochCountsCommittedChanges(t *testing.T) {
+	cfg := protocol.Config{Variant: protocol.RingToken, N: 6}
+	r, err := New(cfg, Options{Seed: 4, InitialMembers: []int{2, 0, 2, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Members(); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("initial members = %v, want [0 1 2]", got)
+	}
+	for _, ev := range []struct {
+		at   sim.Time
+		op   func(sim.Time, int) error
+		node int
+	}{
+		{50, r.Join, 4}, {60, r.Join, 4}, {70, r.Leave, 1}, {80, r.Leave, 1}, {90, r.Crash, 5},
+	} {
+		if err := ev.op(ev.at, ev.node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Engine().RunUntil(5_000)
+	s := r.ChurnSnapshot()
+	if s.ViewEpoch != 2 || !slices.Equal(s.Members, []int{0, 2, 4}) {
+		t.Fatalf("view epoch %d members %v, want epoch 2 members [0 2 4]", s.ViewEpoch, s.Members)
 	}
 }

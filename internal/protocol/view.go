@@ -12,8 +12,8 @@ import "adaptivetoken/internal/bitset"
 
 // ViewUpdate is one membership view change delivered to a node by its host.
 type ViewUpdate struct {
-	// Epoch is the view's epoch (membership.View.Epoch); stale updates
-	// are ignored.
+	// Epoch is the view's epoch, which the host bumps on every view
+	// change; stale updates are ignored.
 	Epoch uint64
 	// Members are the live ring positions, ascending.
 	Members []int

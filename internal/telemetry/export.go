@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,24 +8,6 @@ import (
 	"adaptivetoken/internal/host"
 	"adaptivetoken/internal/protocol"
 )
-
-// WriteJSONL writes every ring record as one JSON object per line, oldest
-// first: the raw timeline for ad-hoc tooling (jq, spreadsheets).
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var err error
-	t.Records(func(r Record) {
-		if err != nil {
-			return
-		}
-		_, err = fmt.Fprintf(bw, `{"at":%d,"kind":%q,"node":%d,"start":%d,"a":%d,"b":%d}`+"\n",
-			r.At, r.Kind, r.Node, r.Start, r.A, r.B)
-	})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
-}
 
 // chromeEvent is one trace_event entry of the Chrome/Perfetto JSON format.
 // Only the fields a given phase uses are populated.

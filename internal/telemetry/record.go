@@ -2,8 +2,8 @@
 // tracer that records typed span and event records off the host.Observer
 // seam, streaming histograms for the latencies the paper measures, a
 // Prometheus text exporter with an HTTP server (/metrics, /healthz,
-// /debug/pprof/*), and timeline export as JSONL or Chrome/Perfetto
-// trace_event JSON.
+// /debug/pprof/*), and timeline export as Chrome/Perfetto trace_event
+// JSON.
 //
 // The tracer attaches wherever an Observer does — the simulation driver
 // (driver.Options.Observer), a live runtime (node.WithObserver), or a whole

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"adaptivetoken/internal/host"
@@ -145,26 +144,6 @@ func TestTracerFaultAndSample(t *testing.T) {
 	}
 	if pts := tr.Series(); len(pts) != 1 || pts[0].Ready != 3 || pts[0].InFlight != 17 {
 		t.Fatalf("series %+v", pts)
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	tr := NewTracer(Config{N: 2, Capacity: 16})
-	tr.OnStep(step(3, host.StepRequest, 1))
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("lines %v", lines)
-	}
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatalf("invalid JSONL line %q: %v", lines[0], err)
-	}
-	if rec["kind"] != "request" || rec["at"] != float64(3) {
-		t.Fatalf("record %v", rec)
 	}
 }
 

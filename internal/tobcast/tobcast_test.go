@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"adaptivetoken/internal/membership"
 	"adaptivetoken/internal/node"
 	"adaptivetoken/internal/protocol"
 	"adaptivetoken/internal/transport"
@@ -159,29 +158,40 @@ func TestSubscribersSeeInOrderDelivery(t *testing.T) {
 
 // TestMembershipOverTotalOrder drives the §5 dynamic-membership sketch end
 // to end: view changes published through the total order converge to the
-// same view at every node.
+// same view at every node. Each node folds the changes into a sorted member
+// set whose epoch counts the changes that took effect.
 func TestMembershipOverTotalOrder(t *testing.T) {
 	const n = 3
 	bs := testRing(t, n)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	initial := membership.NewView(0, []int{0, 1, 2})
-	trackers := make([]*membership.Tracker, n)
+	type view struct {
+		seen    int // entries folded
+		epoch   int
+		members []int
+	}
+	var mu sync.Mutex
+	views := make([]view, n)
 	for i := 0; i < n; i++ {
-		trackers[i] = membership.NewTracker(initial)
-		tr := trackers[i]
+		views[i].members = []int{0, 1, 2}
 		bs[i].Subscribe(func(e Entry) {
-			var kind membership.ChangeKind
+			mu.Lock()
+			defer mu.Unlock()
+			v := &views[i]
+			v.seen++
 			var who int
 			if _, err := fmt.Sscanf(e.Payload, "join %d", &who); err == nil {
-				kind = membership.Join
+				if at, in := slices.BinarySearch(v.members, who); !in {
+					v.members = slices.Insert(v.members, at, who)
+					v.epoch++
+				}
 			} else if _, err := fmt.Sscanf(e.Payload, "leave %d", &who); err == nil {
-				kind = membership.Leave
-			} else {
-				return
+				if at, in := slices.BinarySearch(v.members, who); in {
+					v.members = slices.Delete(v.members, at, at+1)
+					v.epoch++
+				}
 			}
-			tr.Apply(membership.Change{Kind: kind, Node: who})
 		})
 	}
 
@@ -190,15 +200,30 @@ func TestMembershipOverTotalOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitDelivered(t, bs, 4)
-
-	want := trackers[0].View()
-	if len(want.Members) != 3 || !want.Contains(9) || want.Contains(1) || want.Contains(7) {
-		t.Fatalf("final view = %v", want)
+	// Delivered counts an entry before the subscribers run, so wait for
+	// the folds themselves.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		mu.Lock()
+		done := true
+		for _, v := range views {
+			done = done && v.seen == 4
+		}
+		if done {
+			break // mu stays locked for the checks below
+		}
+		mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("timeout waiting for every node to fold 4 changes")
+		}
+	}
+	defer mu.Unlock()
+	want := views[0]
+	if want.epoch != 4 || !slices.Equal(want.members, []int{0, 2, 9}) {
+		t.Fatalf("final view = %+v, want epoch 4 members [0 2 9]", want)
 	}
 	for i := 1; i < n; i++ {
-		if got := trackers[i].View(); got.String() != want.String() {
-			t.Fatalf("node %d view %v != %v", i, got, want)
+		if got := views[i]; got.epoch != want.epoch || !slices.Equal(got.members, want.members) {
+			t.Fatalf("node %d view %+v != %+v", i, got, want)
 		}
 	}
 }

@@ -159,20 +159,8 @@ func (c *liveCluster) probe() driver.ChurnSnapshot {
 		Nodes:     make([]driver.ChurnNodeState, len(c.rts)),
 	}
 	for _, id := range s.Members {
-		c.rts[id].Inspect(func(n *protocol.Node) {
-			s.Nodes[id] = driver.ChurnNodeState{
-				Member:     true,
-				HasToken:   n.HasToken(),
-				InCS:       n.InCS(),
-				Pending:    n.Pending(),
-				Decorated:  n.DecoratedHold(),
-				Recovering: n.RecoveryActive(),
-				Round:      n.Round(),
-				LastSeen:   n.LastSeen(),
-				Epoch:      n.Epoch(),
-				Traps:      n.TrapRequesters(nil),
-			}
-		})
+		c.rts[id].Inspect(func(n *protocol.Node) { s.Nodes[id] = driver.NodeState(n) })
+		s.Nodes[id].Member = true
 		s.HeldWork = s.HeldWork || s.Nodes[id].Pending
 	}
 	return s
@@ -370,9 +358,11 @@ func runLive(sc Scenario, mix Mix, replay *faults.Schedule) Report {
 		rep.Err = werr
 		return rep
 	}
+	rep.Steps = chk.Steps()
 	if cerr := chk.Finish(); cerr != nil {
 		rep.Err = fmt.Errorf("torture: conformance: %w", cerr)
+	} else if rep.Steps == 0 {
+		rep.Err = fmt.Errorf("torture: conformance: the checker checked 0 steps of %d grants", rep.Grants)
 	}
-	rep.Steps = chk.Steps()
 	return rep
 }
