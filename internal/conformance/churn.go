@@ -77,7 +77,8 @@ type ChurnChecker struct {
 // Before the driver runs, the initial stable epoch is known a priori —
 // node 0 holds the bootstrap token, every stamp is zero — so the first
 // segment needs no snapshot. Call Bind before the engine runs to give the
-// checker its stable-epoch probe.
+// checker its stable-epoch probe; a run without churn or recovery never
+// opens a stutter window and needs none.
 func NewChurn(cfg protocol.Config, members []int) (*ChurnChecker, error) {
 	if members == nil {
 		members = identity(cfg.N)
